@@ -8,8 +8,7 @@ Modules:
 * :mod:`qdlab.spectral` -- dense diagonalization, smooth spectral cutoffs,
   resolvent columns, Ward checks, mixed (p -> q) norms.
 * :mod:`qdlab.diffusion` -- the self-consistent spectral shift, collision
-  kernels, Green-operator predictions, kernel random walks, density of
-  states.
+  kernels, Green-operator predictions, kernel random walks.
 * :mod:`qdlab.random_matrix` -- GOE benchmarks, Gaussian series norm
   concentration, matrix inequalities, integration-by-parts identities.
 * :mod:`qdlab.harness` -- INI-configured experiment runner and CSV output.

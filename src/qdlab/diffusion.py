@@ -26,6 +26,7 @@ from .lattice import (
     minimal_image,
     momentum_grid,
     rng_for,
+    separable_sum,
 )
 from .spectral import resolvent_column
 
@@ -97,12 +98,7 @@ def _momentum_mean(z: complex, d: int, m: int) -> complex:
     if d == 1:
         return complex(-_ring_mean(z, m))
     line = 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)
-    lead = np.zeros((m,) * (d - 1))
-    for axis in range(d - 1):
-        shape = [1] * (d - 1)
-        shape[axis] = m
-        lead = lead + line.reshape(shape)
-    lead = lead.ravel()
+    lead = separable_sum([line] * (d - 1)).ravel()
     acc = 0.0 + 0.0j
     chunk = 1 << 22
     for start in range(0, lead.size, chunk):
@@ -242,21 +238,35 @@ def green_apply(kernel: KernelField, f: np.ndarray, tol: float = 1e-10) -> np.nd
     """(Id - lam^2 K)^{-1} f by the Neumann series, convolving with FFTs.
 
     Terms are added until the latest one is below tol * (1 - mass) in sup
-    norm, which bounds the discarded tail by tol.
+    norm, which bounds the discarded tail by tol.  Since
+    ||lam^2 K * g||_inf <= mass ||g||_inf, the j-th term is at most
+    mass^j ||f||_inf; one term past the count this implies, the series
+    raises NonConvergenceError.
     """
-    if kernel.mass >= 1.0:
-        raise ValueError("kernel mass >= 1: Neumann series diverges")
+    if not kernel.mass < 1.0:
+        raise ValueError(f"kernel mass {kernel.mass} is not below 1: Neumann series diverges")
     f = np.asarray(f, dtype=float)
     if f.shape != kernel.grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {kernel.grid.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("green_apply needs a finite field")
+    target = tol * (1.0 - kernel.mass)
+    size = float(np.max(np.abs(f)))
+    max_terms = 1
+    if kernel.mass > 0.0 and size > target:
+        max_terms += math.ceil(math.log(target / size) / math.log(kernel.mass))
     khat = np.fft.fftn(kernel.values) * kernel.lam**2
     out = f.copy()
     term = f
-    while True:
+    for _ in range(max_terms):
         term = np.fft.ifftn(np.fft.fftn(term) * khat).real
         out += term
-        if float(np.max(np.abs(term))) <= tol * (1.0 - kernel.mass):
+        size = float(np.max(np.abs(term)))
+        if size <= target:
             return out
+    raise NonConvergenceError(
+        f"Neumann series: term {max_terms} has sup norm {size:.3e} > {target:.3e}"
+    )
 
 
 def convolve_kernel(kernel: KernelField, f: np.ndarray) -> np.ndarray:
@@ -561,151 +571,3 @@ def neumann_walk_sum(
     stderr = float(per_trial.std(ddof=1) / math.sqrt(n_trials)) / lam2
     tail = decay ** (j_max + 1) / (alpha * lam2)
     return value, stderr, tail
-
-
-# ---------------------------------------------------------------------------
-# Density of states
-
-
-def critical_energies(d: int) -> tuple[float, ...]:
-    """Energies 2d + 4Z inside [-2d, 2d], where the dispersion is degenerate."""
-    return tuple(float(k) for k in range(-2 * d, 2 * d + 1, 4))
-
-
-def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Polynomial extrapolation of (xs, ys) to x=0; returns (value, last correction)."""
-    tab = ys.astype(float).copy()
-    n = xs.size
-    prev_top = tab[0]
-    correction = math.inf
-    for level in range(1, n):
-        for i in range(n - level):
-            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
-                xs[i] - xs[i + level]
-            )
-        prev_top, correction = tab[0], abs(tab[0] - prev_top)
-    return float(tab[0]), float(correction)
-
-
-@dataclass(frozen=True)
-class DOSEntry:
-    energy: float
-    rho: float
-    converged: bool
-    correction: float
-
-
-DEFAULT_ETA_SEQUENCE = (0.32, 0.16, 0.08, 0.04, 0.02)
-
-
-def dos(
-    E: float,
-    d: int,
-    eta_sequence=DEFAULT_ETA_SEQUENCE,
-    resolution: int | None = None,
-    converge_tol: float = 1e-4,
-) -> DOSEntry:
-    """Density of states by Richardson extrapolation of pi^{-1} Im F(E + i eta).
-
-    Non-convergence (last correction above converge_tol) is reported in the
-    flag rather than raised: it is the expected signature of the critical
-    energies, where rho is singular.
-    """
-    etas = np.asarray(sorted(eta_sequence, reverse=True), dtype=float)
-    if np.any(etas <= 0):
-        raise ValueError("eta sequence must be positive")
-    vals = np.array(
-        [F_eval(complex(E, eta), d, resolution=resolution).imag / math.pi for eta in etas]
-    )
-    rho, correction = _neville_to_zero(etas, vals)
-    return DOSEntry(float(E), rho, correction <= converge_tol, correction)
-
-
-@dataclass(frozen=True)
-class DOSTable:
-    """Tabulated density of states with per-node convergence and patch flags.
-
-    Patched nodes hold exact cell-average densities (from a momentum-space
-    histogram over the midpoint cell, clipped to the band), the others hold
-    pointwise Richardson values; `weights` are the cell widths, so
-    integral() is the midpoint rule and is exact over patched cells.
-    """
-
-    d: int
-    energies: np.ndarray
-    rho: np.ndarray
-    eta_sequence: tuple[float, ...]
-    converged: np.ndarray
-    patched: np.ndarray
-    weights: np.ndarray
-
-    def integral(self) -> float:
-        return float(np.sum(self.weights * self.rho))
-
-
-def _sorted_omega(d: int, resolution: int) -> np.ndarray:
-    line = 2.0 * np.cos(2.0 * np.pi * np.arange(resolution) / resolution)
-    if d == 1:
-        omega = line
-    else:
-        lead = np.zeros((resolution,) * (d - 1))
-        for axis in range(d - 1):
-            shape = [1] * (d - 1)
-            shape[axis] = resolution
-            lead = lead + line.reshape(shape)
-        omega = (lead.ravel()[:, None] + line[None, :]).ravel()
-    return np.sort(omega)
-
-
-def dos_table(
-    d: int,
-    energies,
-    eta_sequence=DEFAULT_ETA_SEQUENCE,
-    resolution: int | None = None,
-    patch_width: float = 0.2,
-    hist_resolution: int | None = None,
-) -> DOSTable:
-    """Tabulate rho on an increasing energy grid, patching singular regions.
-
-    Richardson extrapolation in eta degrades where rho is not smooth (the
-    critical energies and the band edges); nodes within patch_width of those
-    energies, and any node whose extrapolation failed to settle, are replaced
-    by exact cell-average densities counted on a fine momentum grid.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if energies.ndim != 1 or energies.size < 2 or np.any(np.diff(energies) <= 0):
-        raise ValueError("energies must be a strictly increasing 1-d grid")
-    if hist_resolution is None:
-        hist_resolution = 4096 if d <= 2 else 256
-    entries = [dos(float(E), d, eta_sequence, resolution) for E in energies]
-    rho = np.array([ent.rho for ent in entries])
-    converged = np.array([ent.converged for ent in entries])
-
-    mids = 0.5 * (energies[1:] + energies[:-1])
-    lo_edge = energies[0] - 0.5 * (energies[1] - energies[0])
-    hi_edge = energies[-1] + 0.5 * (energies[-1] - energies[-2])
-    edges = np.concatenate([[lo_edge], mids, [hi_edge]])
-    clipped = np.clip(edges, -2.0 * d, 2.0 * d)
-    weights = np.maximum(np.diff(clipped), 0.0)
-
-    crit = np.asarray(critical_energies(d))
-    near = np.min(np.abs(energies[:, None] - crit[None, :]), axis=1) <= patch_width
-    patched = near | ~converged
-    if np.any(patched):
-        omega = _sorted_omega(d, hist_resolution)
-        idx = np.nonzero(patched)[0]
-        lo = np.searchsorted(omega, clipped[idx], side="left")
-        hi = np.searchsorted(omega, clipped[idx + 1], side="right")
-        mass = (hi - lo) / omega.size
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.where(weights[idx] > 0, mass / np.where(weights[idx] > 0, weights[idx], 1.0), 0.0)
-        rho[idx] = dens
-    rho = np.maximum(rho, 0.0)
-    return DOSTable(d, energies, rho, tuple(eta_sequence), converged, patched, weights)
-
-
-def poisson_smooth(table: DOSTable, E: float, eta: float) -> float:
-    """Poisson (Cauchy) smoothing of the tabulated rho at scale eta."""
-    u = table.energies - E
-    kernel = (eta / math.pi) / (u**2 + eta**2)
-    return float(np.trapezoid(kernel * table.rho, table.energies))

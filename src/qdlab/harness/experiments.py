@@ -715,20 +715,12 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     digest = config_hash(config)
     try:
         exp.runner(config, sink, timer)
-    except BaseException:
-        partial = RunManifest(
+    finally:
+        manifest = RunManifest(
             config_hash=digest,
             version=__version__,
             files=tuple(sorted(sink.files)),
             timings=timer.timings,
         )
-        _write_manifest(outdir / "manifest.json", partial)
-        raise
-    manifest = RunManifest(
-        config_hash=digest,
-        version=__version__,
-        files=tuple(sorted(sink.files)),
-        timings=timer.timings,
-    )
-    _write_manifest(outdir / "manifest.json", manifest)
+        _write_manifest(outdir / "manifest.json", manifest)
     return manifest

@@ -59,17 +59,26 @@ def minimal_image(grid: TorusGrid, delta) -> np.ndarray:
     return (delta + half) % grid.L - half
 
 
+def separable_sum(lines) -> np.ndarray:
+    """out[x_0, ..., x_k] = sum_j lines[j][x_j] for 1-d arrays lines[0..k].
+
+    Accumulated from zeros in axis order, which fixes the rounding of every entry.
+    """
+    out = np.zeros(tuple(line.size for line in lines))
+    for axis, line in enumerate(lines):
+        shape = [1] * len(lines)
+        shape[axis] = line.size
+        out = out + line.reshape(shape)
+    return out
+
+
 def distance_sq_grid(grid: TorusGrid, origin=None) -> np.ndarray:
     """|x - origin|^2 with minimal-image distance, as an array over the grid."""
     if origin is None:
         origin = (0,) * grid.d
-    out = np.zeros(grid.shape)
-    for axis, o in enumerate(origin):
-        axis_delta = minimal_image(grid, np.arange(grid.L) - int(o)).astype(float)
-        shape = [1] * grid.d
-        shape[axis] = grid.L
-        out = out + (axis_delta**2).reshape(shape)
-    return out
+    return separable_sum(
+        [minimal_image(grid, np.arange(grid.L) - int(o)).astype(float) ** 2 for o in origin]
+    )
 
 
 def displacement_vectors(grid: TorusGrid) -> np.ndarray:
@@ -185,12 +194,7 @@ def dispersion(xi) -> np.ndarray:
 def momentum_grid(grid: TorusGrid) -> np.ndarray:
     """Dispersion evaluated on the dual lattice xi_k = 2 pi k / L, grid-shaped."""
     line = 2.0 * np.cos(2.0 * np.pi * np.arange(grid.L) / grid.L)
-    out = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        shape = [1] * grid.d
-        shape[axis] = grid.L
-        out = out + line.reshape(shape)
-    return out
+    return separable_sum([line] * grid.d)
 
 
 def fft_forward(field: ComplexField) -> ComplexField:

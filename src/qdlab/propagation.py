@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv
 
 from .errors import NonConvergenceError, OrderOverflowError
@@ -27,14 +26,11 @@ from .lattice import (
     DENSE_LIMIT,
     ComplexField,
     HamiltonianSpec,
-    TorusGrid,
     apply_hamiltonian,
-    circulant_from_kernel,
     delta_field,
     distance_sq_grid,
     free_propagate,
     free_propagator_dense,
-    momentum_grid,
     rng_for,
 )
 
@@ -229,35 +225,11 @@ def run_trajectory(
     )
 
 
-def return_amplitude(grid: TorusGrid, t: float) -> complex:
-    """f_d(t) = L^-d sum_xi exp(i t omega(xi)), the free return amplitude."""
-    return complex(np.mean(np.exp(1j * t * momentum_grid(grid))))
-
-
 # ---------------------------------------------------------------------------
 # Operator norms
 
 
-@dataclass
-class MatrixFreeOperator:
-    """Square operator given by matvec/rmatvec closures on flat complex vectors."""
-
-    shape: tuple[int, int]
-    matvec: Callable[[np.ndarray], np.ndarray]
-    rmatvec: Callable[[np.ndarray], np.ndarray]
-
-
-def _as_matrix_free(a) -> MatrixFreeOperator:
-    if isinstance(a, MatrixFreeOperator):
-        return a
-    mat = np.asarray(a)
-    if mat.ndim != 2:
-        raise ValueError("op_norm expects a matrix or a MatrixFreeOperator")
-    herm = mat.conj().T
-    return MatrixFreeOperator(mat.shape, lambda v: mat @ v, lambda v: herm @ v)
-
-
-def _lanczos_top_sigma(op: MatrixFreeOperator, rng, tol: float, max_iter: int) -> float:
+def _lanczos_top_sigma(op: LinearOperator, rng, tol: float, max_iter: int) -> float:
     """Top singular value of op by Lanczos on A*A from one random start.
 
     Full reorthogonalization (the Krylov depths here are small compared to the
@@ -317,7 +289,17 @@ def op_norm(
     max_iter raises NonConvergenceError rather than returning a silent
     underestimate.
     """
-    op = _as_matrix_free(a)
+    if isinstance(a, LinearOperator):
+        op = a
+    else:
+        mat = np.asarray(a)
+        if mat.ndim != 2:
+            raise ValueError("op_norm expects a matrix or a LinearOperator")
+        herm = mat.conj().T
+        # An explicit dtype keeps scipy from probing the operator with a matvec.
+        op = LinearOperator(
+            mat.shape, matvec=lambda v: mat @ v, rmatvec=lambda v: herm @ v, dtype=np.complex128
+        )
     estimates = []
     for r in range(restarts):
         rng = rng_for(seed, stream=0xA11CE + r)
@@ -332,39 +314,6 @@ def op_norm(
 
 # ---------------------------------------------------------------------------
 # Collision operators
-
-
-def build_T1(spec: HamiltonianSpec, t: float, n_quad: int | None = None) -> np.ndarray:
-    """Dense T_1(t) = int_0^t exp(i s A) V exp(-i s A) ds by Gauss-Legendre.
-
-    Assembled in the momentum representation, where each quadrature node is an
-    elementwise phase twist of Vhat: total cost O(n_quad n^2), no matmuls.
-    """
-    grid = spec.grid
-    n = grid.n_sites
-    if n > DENSE_LIMIT:
-        raise ValueError(f"dense T_1 needs n_sites <= {DENSE_LIMIT}, got {n}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if n_quad is None:
-        # Integrand phases reach t * 4d; a node per half-period plus margin.
-        n_quad = int(math.ceil(t * 4.0 * grid.d / 2.0)) + 24
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    s = 0.5 * t * (nodes + 1.0)
-    w = 0.5 * t * weights
-
-    omega = momentum_grid(grid).ravel()
-    phases = np.exp(1j * np.outer(s, omega))  # (n_quad, n)
-    g = (w[:, None] * phases).T @ phases.conj()  # g[p,q] = sum_i w_i e^{i s_i (w_p - w_q)}
-
-    vhat = np.fft.fftn(spec.disorder.values)
-    vmat = circulant_from_kernel(grid, vhat) / n  # F diag(V) F^H
-    that = vmat * g
-
-    block = that.reshape(grid.shape + grid.shape)
-    block = np.fft.ifftn(block, axes=tuple(range(grid.d)), norm="ortho")
-    block = np.fft.fftn(block, axes=tuple(range(grid.d, 2 * grid.d)), norm="ortho")
-    return block.reshape(n, n)
 
 
 def dyson_Tk(spec: HamiltonianSpec, k: int, t: float, n_quad: int = 24) -> np.ndarray:
@@ -421,5 +370,10 @@ def propagator_deviation(
         free = free_propagate(f, sign * t).values
         return (full - free).ravel()
 
-    op = MatrixFreeOperator((n, n), lambda v: diff(v, +1.0), lambda v: diff(v, -1.0))
+    op = LinearOperator(
+        (n, n),
+        matvec=lambda v: diff(v, +1.0),
+        rmatvec=lambda v: diff(v, -1.0),
+        dtype=np.complex128,
+    )
     return op_norm(op, tol=tol, max_iter=max_iter, seed=seed)

@@ -4,7 +4,7 @@ Three groups of tools live here:
 
 * GOE sampling plus a resolvent local-law check against the semicircle
   Stieltjes transform.
-* Gaussian matrix series ``X = A_0 + sum_j g_j A_j`` with noncommutative
+* Gaussian matrix series ``X = sum_j g_j A_j`` with noncommutative
   Khintchine norm statistics, and a suite of deterministic trace inequalities
   evaluated on random inputs.
 * Gaussian-integration-by-parts residuals for resolvent averages (GOE and
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import HamiltonianSpec, dense_hamiltonian, rng_for
+from .lattice import HamiltonianSpec, dense_adjacency, rng_for
 
 __all__ = [
     "sample_goe",
@@ -30,7 +30,6 @@ __all__ = [
     "LocalLawStats",
     "goe_local_law",
     "superoperator_goe",
-    "superoperator_diag",
     "goe_coefficient_family",
     "GaussianSeriesEnsemble",
     "NCKReport",
@@ -179,14 +178,6 @@ def superoperator_goe(b: np.ndarray) -> np.ndarray:
     return (b.T + np.trace(b) * np.eye(n, dtype=b.dtype)) / n
 
 
-def superoperator_diag(b: np.ndarray) -> np.ndarray:
-    """Covariance map of the site-projection family: B -> diag part of B."""
-    n = b.shape[0]
-    if b.shape != (n, n):
-        raise ValueError(f"need a square matrix, got shape {b.shape}")
-    return np.diag(np.diag(b)).astype(b.dtype)
-
-
 def goe_coefficient_family(n: int) -> list[np.ndarray]:
     """The n(n+1)/2 symmetric coefficient matrices whose Gaussian series is GOE.
 
@@ -209,97 +200,46 @@ def goe_coefficient_family(n: int) -> list[np.ndarray]:
 
 
 class GaussianSeriesEnsemble:
-    """Matrix Gaussian series X = A_0 + sum_j g_j A_j with i.i.d. standard g.
+    """Matrix Gaussian series X = sum_j g_j A_j with i.i.d. standard g.
 
     ``kind`` selects the coefficient family:
 
-    * ``"diag"``  -- site projections A_j = |j><j| (so X - A_0 is a diagonal
+    * ``"diag"``  -- site projections A_j = |j><j| (so X is a diagonal
       matrix of i.i.d. Gaussians); sum A_j^2 = Id.
     * ``"goe"``   -- the symmetric GOE family of :func:`goe_coefficient_family`;
       sum A_j^2 = (n+1)/n Id.
-    * ``"explicit"`` -- caller-supplied symmetric matrices.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        n: int | None = None,
-        matrices: Sequence[np.ndarray] | None = None,
-        base: np.ndarray | None = None,
-    ) -> None:
-        if kind not in ("diag", "goe", "explicit"):
+    def __init__(self, kind: str, n: int) -> None:
+        if kind not in ("diag", "goe"):
             raise ValueError(f"unknown ensemble kind {kind!r}")
-        if kind == "explicit":
-            if not matrices:
-                raise ValueError("explicit ensembles need coefficient matrices")
-            mats = [np.asarray(m, dtype=float) for m in matrices]
-            n = mats[0].shape[0]
-            for m in mats:
-                if m.shape != (n, n):
-                    raise ValueError("coefficient matrices must share one shape")
-                if not np.allclose(m, m.T):
-                    raise ValueError("coefficient matrices must be symmetric")
-            self._matrices: list[np.ndarray] | None = mats
-        else:
-            if n is None or n < 1:
-                raise ValueError("diag/goe ensembles need a positive size n")
-            self._matrices = None
+        if n < 1:
+            raise ValueError(f"ensemble size must be positive, got {n}")
         self.kind = kind
-        self.n = int(n)  # type: ignore[arg-type]
-        if base is not None:
-            base = np.asarray(base, dtype=float)
-            if base.shape != (self.n, self.n):
-                raise ValueError("base matrix shape mismatch")
-        self.base = base
+        self.n = int(n)
 
     @property
     def n_terms(self) -> int:
         if self.kind == "diag":
             return self.n
-        if self.kind == "goe":
-            return self.n * (self.n + 1) // 2
-        return len(self._matrices)  # type: ignore[arg-type]
-
-    def coefficients(self) -> list[np.ndarray]:
-        """Materialize the family (small n only for the structured kinds)."""
-        if self.kind == "diag":
-            return [np.diag(e) for e in np.eye(self.n)]
-        if self.kind == "goe":
-            return goe_coefficient_family(self.n)
-        return [m.copy() for m in self._matrices]  # type: ignore[union-attr]
+        return self.n * (self.n + 1) // 2
 
     def sum_squares_norm(self) -> float:
-        """Operator norm of sum_j A_j^2 (exact for the structured kinds)."""
+        """Operator norm of sum_j A_j^2, in closed form."""
         if self.kind == "diag":
             return 1.0
-        if self.kind == "goe":
-            return (self.n + 1.0) / self.n
-        total = np.zeros((self.n, self.n))
-        for m in self._matrices:  # type: ignore[union-attr]
-            total += m @ m
-        return float(np.linalg.norm(total, 2))
+        return (self.n + 1.0) / self.n
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        x: np.ndarray
         if self.kind == "diag":
-            x = np.diag(rng.standard_normal(self.n))
-        elif self.kind == "goe":
-            x = sample_goe(self.n, rng)
-        else:
-            g = rng.standard_normal(self.n_terms)
-            x = np.zeros((self.n, self.n))
-            for c, m in zip(g, self._matrices):  # type: ignore[arg-type]
-                x += c * m
-        if self.base is not None:
-            x = x + self.base
-        return x
+            return np.diag(rng.standard_normal(self.n))
+        return sample_goe(self.n, rng)
 
     def sample_norm(self, rng: np.random.Generator) -> float:
         """Operator norm of one sample; avoids diagonalizing when diagonal."""
-        if self.kind == "diag" and self.base is None:
+        if self.kind == "diag":
             return float(np.max(np.abs(rng.standard_normal(self.n))))
-        x = self.sample(rng)
-        return float(np.max(np.abs(np.linalg.eigvalsh(x))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.sample(rng)))))
 
 
 @dataclass(frozen=True)
@@ -593,7 +533,7 @@ def gibp_check_anderson(
             "residual variance may be large",
             stacklevel=2,
         )
-    adj = dense_hamiltonian(HamiltonianSpec.sample(grid, 0.0, seed=0))
+    adj = dense_adjacency(grid)
     ident = np.eye(n)
     chunk = _auto_chunk(chunk, n)
     disorder = rng_for(seed, 0x61C).standard_normal((n_samples, n))
@@ -831,7 +771,7 @@ def crossing_check_anderson(
     grid = spec_template.grid
     lam = spec_template.lam
     n = grid.n_sites
-    adj = dense_hamiltonian(HamiltonianSpec.sample(grid, 0.0, seed=0))
+    adj = dense_adjacency(grid)
     ident = np.eye(n)
 
     def draw_pair(rng: np.random.Generator, count: int):

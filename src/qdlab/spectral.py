@@ -25,7 +25,7 @@ from .lattice import (
     momentum_grid,
     rng_for,
 )
-from .propagation import MatrixFreeOperator, op_norm
+from .propagation import op_norm
 
 
 @dataclass(frozen=True)
@@ -223,24 +223,17 @@ def matrix_lpq_norm(
     max_iter: int = 2000,
     restarts: int = 4,
     seed: int = 0,
-    sample_columns: int | None = None,
 ) -> float:
     """||A||_{p -> q} = sup ||A x||_q / ||x||_p for the supported (p, q) pairs.
 
-    p = 1 is exact (max column l_q norm); passing sample_columns evaluates a
-    random column subset instead, a cheap certified lower bound.  p = 2 uses
-    the l_2 -> l_q power method of Boyd (ascent on ||A x||_q, restarted); for
-    q = 2 it delegates to the certified top-singular-value routine.
+    p = 1 is exact (max column l_q norm).  p = 2 uses the l_2 -> l_q power
+    method of Boyd (ascent on ||A x||_q, restarted); for q = 2 it delegates
+    to the certified top-singular-value routine.
     """
     if (p, q) not in SUPPORTED_PQ:
         raise ValueError(f"unsupported (p, q) = {(p, q)}; supported: {SUPPORTED_PQ}")
     mat = np.asarray(mat)
     if p == 1:
-        if sample_columns is not None and sample_columns < mat.shape[1]:
-            cols = rng_for(seed, stream=0xC01).choice(
-                mat.shape[1], size=sample_columns, replace=False
-            )
-            return float(_column_lq(mat[:, cols], q).max())
         return float(_column_lq(mat, q).max())
     if q == 2:
         return op_norm(mat, tol=tol, max_iter=max_iter, seed=seed)
@@ -278,9 +271,8 @@ def matrix_lpq_norm(
 class NormEstimate:
     """A mixed-norm value with the method that produced it.
 
-    ``sampled`` solves a random subset of columns and is therefore a
-    certified lower bound on the true norm; ``exact`` uses all columns
-    (p = 1) or the convergent power method (p = 2).
+    The method is always ``exact``: all n_sample = n columns (p = 1) or the
+    convergent power method on the dense resolvent (p = 2).
     """
 
     p: float
@@ -289,96 +281,17 @@ class NormEstimate:
     method: str
     n_sample: int
 
-    @property
-    def lower_bound(self) -> bool:
-        return self.method == "sampled"
-
 
 def lpq_norm(
     spec: HamiltonianSpec,
     z: complex,
     p: float,
     q: float,
-    mode: str = "exact",
-    n_sample: int = 8,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> NormEstimate:
-    """Mixed (p -> q) norm of the resolvent R(z) = (H - z)^{-1}.
-
-    ``exact`` mode needs the dense regime and evaluates the full column set
-    (or, for p = 2, a power method on the dense matrix).  ``sampled`` mode
-    takes the max of the column l_q norm over n_sample random source sites --
-    a lower bound, usable at any lattice size through the iterative column
-    solver.
-    """
+    """Mixed (p -> q) norm of the resolvent R(z) = (H - z)^{-1}, dense regime only."""
     if (p, q) not in SUPPORTED_PQ:
         raise ValueError(f"unsupported (p, q) = {(p, q)}; supported: {SUPPORTED_PQ}")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    grid = spec.grid
-    n = grid.n_sites
-    if mode == "exact":
-        if n > DENSE_LIMIT:
-            raise ValueError(
-                f"exact mode needs n_sites <= {DENSE_LIMIT}, got {n}"
-            )
-        value = matrix_lpq_norm(
-            resolvent_dense(spec, z).reshape(n, n), p, q, tol=tol, seed=seed
-        )
-        return NormEstimate(p=p, q=q, value=value, method="exact", n_sample=n)
-
-    n_sample = min(n_sample, n)
-    rng = rng_for(seed, stream=0x5A2)
-    sites = rng.choice(n, size=n_sample, replace=False)
-    if n <= DENSE_LIMIT:
-        mat = resolvent_dense(spec, z).reshape(n, n)
-        value = float(_column_lq(mat[:, sites], q).max())
-    else:
-        best = 0.0
-        for flat in sites:
-            column = resolvent_column(spec, z, site=grid.site_coords(int(flat)))
-            best = max(best, float(_column_lq(column.reshape(-1, 1), q)[0]))
-        value = best
-    return NormEstimate(p=p, q=q, value=value, method="sampled", n_sample=n_sample)
-
-
-@dataclass(frozen=True)
-class EigenfunctionNorms:
-    """Per-eigenfunction l_p norms plus the median inside an energy window."""
-
-    p: float
-    values: np.ndarray
-    window: tuple[float, float] | None
-    bulk_median: float
-
-
-def eigenfunction_lp(
-    decomp: EigenDecomposition,
-    p: float,
-    window: tuple[float, float] | None = None,
-) -> EigenfunctionNorms:
-    """l_p norm of each eigenvector, and their median over an energy window.
-
-    With no window the median runs over the whole spectrum; p = 2 returns
-    all ones for an orthonormal decomposition.
-    """
-    a = np.abs(decomp.vectors)
-    if p == math.inf:
-        values = a.max(axis=0)
-    else:
-        values = (a**p).sum(axis=0) ** (1.0 / p)
-    if window is None:
-        selected = values
-    else:
-        lo, hi = window
-        mask = (decomp.energies >= lo) & (decomp.energies <= hi)
-        if not np.any(mask):
-            raise ValueError(f"no eigenvalues inside the window [{lo}, {hi}]")
-        selected = values[mask]
-    return EigenfunctionNorms(
-        p=p,
-        values=values,
-        window=window,
-        bulk_median=float(np.median(selected)),
-    )
+    value = matrix_lpq_norm(resolvent_dense(spec, z), p, q, tol=tol, seed=seed)
+    return NormEstimate(p=p, q=q, value=value, method="exact", n_sample=spec.grid.n_sites)

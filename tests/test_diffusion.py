@@ -1,5 +1,6 @@
-"""Momentum sums, the self-consistent shift, kernel walks, and the DOS."""
+"""Momentum sums, the self-consistent shift, kernel walks, and the Green operator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,23 +9,18 @@ import scipy.integrate
 from scipy.special import jv
 
 from qdlab.diffusion import (
-    DEFAULT_ETA_SEQUENCE,
     EnergyPoint,
     F_eval,
     KernelField,
     anticoncentration_mc,
     ball_indicator,
     convolve_kernel,
-    critical_energies,
     deloc_check,
-    dos,
-    dos_table,
     green_apply,
     kernel_K,
     measure_observable,
     mtilde_kernel,
     neumann_walk_sum,
-    poisson_smooth,
     predict_observable,
     solve_theta,
     step_distribution,
@@ -199,6 +195,22 @@ def test_green_apply_identities():
     np.testing.assert_array_equal(green_apply(null, f), f)
 
 
+def test_green_apply_rejects_nan_and_bounds_its_terms():
+    point = EnergyPoint(E=0.5, eta=0.15, lam=0.3, d=2)
+    grid = TorusGrid(2, 16)
+    kernel = kernel_K(point, solve_theta(point).theta, grid)
+    f = np.ones(grid.shape)
+    f[3, 4] = np.nan
+    with pytest.raises(ValueError):
+        green_apply(kernel, f)
+    with pytest.raises(ValueError):
+        green_apply(dataclasses.replace(kernel, mass=math.nan), np.ones(grid.shape))
+    # a recorded mass below the true one makes the term cap too small
+    understated = dataclasses.replace(kernel, mass=0.5 * kernel.mass)
+    with pytest.raises(NonConvergenceError):
+        green_apply(understated, np.ones(grid.shape))
+
+
 def test_predict_constant_observable_is_im_theta_over_eta():
     point = EnergyPoint(E=1.0, eta=0.04, lam=0.2, d=2)
     sol = solve_theta(point, resolution=64)
@@ -366,60 +378,3 @@ def test_anticoncentration_decay_rate_d2():
     ]
     slope = np.polyfit(np.log(ns), np.log(ps), 1)[0]
     assert -1.35 <= slope <= -0.65
-
-
-# ---------------------------------------------------------------------------
-# density of states
-
-
-def test_critical_energy_sets():
-    assert critical_energies(1) == (-2.0, 2.0)
-    assert critical_energies(2) == (-4.0, 0.0, 4.0)
-    assert critical_energies(3) == (-6.0, -2.0, 2.0, 6.0)
-
-
-def test_dos_d1_closed_form():
-    entry = dos(1.0, 1)
-    assert entry.converged
-    assert entry.rho == pytest.approx(1.0 / (math.pi * math.sqrt(3.0)), abs=1e-4)
-
-
-def test_dos_vanishes_outside_band():
-    entry = dos(4.5, 2)  # 2d + 0.5
-    assert abs(entry.rho) <= 1e-6
-
-
-def test_dos_symmetry():
-    assert dos(1.0, 2).rho == pytest.approx(dos(-1.0, 2).rho, abs=1e-8)
-
-
-def test_dos_flags_critical_energy():
-    # log-singular point: the eta extrapolation must not report convergence
-    entry = dos(0.0, 2)
-    assert not entry.converged
-    assert entry.correction > 1e-4
-
-
-def test_dos_table_normalization_d2():
-    table = dos_table(2, np.linspace(-4.0, 4.0, 161))
-    assert np.all(table.rho >= 0)
-    assert table.integral() == pytest.approx(1.0, abs=1e-4)
-    mid = np.searchsorted(table.energies, 0.0)
-    assert table.patched[mid]
-    assert table.eta_sequence == DEFAULT_ETA_SEQUENCE
-
-
-def test_dos_table_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        dos_table(2, [0.0])
-    with pytest.raises(ValueError):
-        dos_table(2, [1.0, 0.5])
-
-
-def test_poisson_smoothing_consistency():
-    # smoothing the tabulated rho at height eta must reproduce Im F(E+i eta)/pi
-    es = np.arange(-4.5, 4.5 + 1e-9, 1.0 / 128.0)
-    table = dos_table(2, es, resolution=2048)
-    for energy in (0.7, -2.2):
-        direct = F_eval(complex(energy, 0.3), 2).imag / math.pi
-        assert poisson_smooth(table, energy, 0.3) == pytest.approx(direct, abs=1e-5)

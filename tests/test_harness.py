@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config parsing/hashing, CSV tables, the
 registry runner, determinism, and the command-line interface."""
 
+import importlib
 import json
 import math
 import time
@@ -400,3 +401,14 @@ def test_cli_run_numerical_failure(tmp_path, capsys):
     assert main(["run", str(path)]) == 3
     assert "numerical failure:" in capsys.readouterr().err
     assert (outdir / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Public exports
+
+
+@pytest.mark.parametrize("module", ["qdlab", "qdlab.harness", "qdlab.random_matrix"])
+def test_all_exports_resolve(module):
+    mod = importlib.import_module(module)
+    stale = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert stale == []

@@ -21,7 +21,6 @@ from qdlab.random_matrix import (
     nck_check,
     sample_goe,
     semicircle_stieltjes,
-    superoperator_diag,
     superoperator_goe,
 )
 
@@ -130,23 +129,9 @@ def test_superoperator_goe_matches_family_sum():
     np.testing.assert_allclose(superoperator_goe(b), brute, atol=1e-12)
 
 
-def test_superoperator_diag_matches_family_sum():
-    n = 6
-    rng = rng_for(4, 4)
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    brute = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        p = np.zeros((n, n))
-        p[j, j] = 1.0
-        brute += p @ b @ p
-    np.testing.assert_allclose(superoperator_diag(b), brute, atol=1e-15)
-
-
 def test_superoperator_shape_validation():
     with pytest.raises(ValueError):
         superoperator_goe(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        superoperator_diag(np.zeros((2, 5)))
 
 
 def test_goe_family_sum_of_squares():
@@ -165,10 +150,6 @@ def test_ensemble_kinds_and_counts():
     assert goe.n_terms == 7 * 8 // 2
     assert diag.sum_squares_norm() == 1.0
     assert goe.sum_squares_norm() == pytest.approx(8 / 7)
-    mats = [np.diag([1.0, 0.0]), np.diag([0.0, 2.0])]
-    expl = GaussianSeriesEnsemble("explicit", matrices=mats)
-    assert expl.n_terms == 2
-    assert expl.sum_squares_norm() == pytest.approx(4.0)
 
 
 def test_ensemble_goe_kind_matches_sample_goe_bitwise():
@@ -184,30 +165,11 @@ def test_ensemble_diag_samples_are_diagonal():
     assert np.count_nonzero(x - np.diag(np.diag(x))) == 0
 
 
-def test_ensemble_base_offset_and_explicit_sampling():
-    base = np.array([[0.0, 1.0], [1.0, 0.0]])
-    mats = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    ens = GaussianSeriesEnsemble("explicit", matrices=mats, base=base)
-    x = ens.sample(rng_for(2, 7))
-    off = x - base
-    assert np.count_nonzero(off - np.diag(np.diag(off))) == 0
-
-
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         GaussianSeriesEnsemble("gue", n=4)
     with pytest.raises(ValueError):
-        GaussianSeriesEnsemble("explicit")
-    with pytest.raises(ValueError):
-        GaussianSeriesEnsemble("diag")
-    with pytest.raises(ValueError):
-        GaussianSeriesEnsemble("explicit", matrices=[np.array([[0.0, 1.0], [0.0, 0.0]])])
-    with pytest.raises(ValueError):
-        GaussianSeriesEnsemble(
-            "explicit", matrices=[np.eye(2), np.eye(3)]
-        )
-    with pytest.raises(ValueError):
-        GaussianSeriesEnsemble("diag", n=3, base=np.eye(2))
+        GaussianSeriesEnsemble("diag", n=0)
 
 
 # ---------------------------------------------------------------------------

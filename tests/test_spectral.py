@@ -17,7 +17,6 @@ from qdlab.spectral import (
     SUPPORTED_PQ,
     apply_free_resolvent,
     dense_diagonalize,
-    eigenfunction_lp,
     free_cutoff_operator,
     lpq_norm,
     matrix_lpq_norm,
@@ -196,7 +195,7 @@ def test_lpq_22_is_inverse_spectral_distance():
     want = 1.0 / np.min(np.abs(eig.energies - z))
     est = lpq_norm(spec, z, 2, 2)
     assert est.value == pytest.approx(want, rel=1e-6)
-    assert est.method == "exact" and not est.lower_bound
+    assert est.method == "exact" and est.n_sample == spec.grid.n_sites
 
 
 def test_lpq_12_equals_ward_formula():
@@ -206,16 +205,6 @@ def test_lpq_12_equals_ward_formula():
     r = resolvent_dense(spec, z)
     want = math.sqrt(np.max(np.diag(r).imag) / z.imag)
     assert lpq_norm(spec, z, 1, 2).value == pytest.approx(want, rel=1e-10)
-
-
-def test_sampled_mode_is_lower_bound():
-    spec = HamiltonianSpec.sample(TorusGrid(1, 24), 0.4, seed=9)
-    z = 0.3 + 0.2j
-    exact = lpq_norm(spec, z, 1, 6)
-    sampled = lpq_norm(spec, z, 1, 6, mode="sampled", n_sample=6)
-    assert sampled.lower_bound
-    assert sampled.value <= exact.value + 1e-12
-    assert sampled.n_sample == 6
 
 
 def test_column_norm_ordering_and_interpolation():
@@ -231,8 +220,6 @@ def test_lpq_rejects_unsupported():
     spec = free_spec(1, 8)
     with pytest.raises(ValueError):
         lpq_norm(spec, 0.5 + 0.1j, 3, 2)
-    with pytest.raises(ValueError):
-        lpq_norm(spec, 0.5 + 0.1j, 1, 2, mode="guess")
     with pytest.raises(ValueError):
         matrix_lpq_norm(np.eye(4), 2, 3)
     assert (1, 4) in SUPPORTED_PQ
@@ -256,45 +243,3 @@ def test_boyd_ascent_against_grid_search():
     xs = np.stack([np.cos(angles), np.sin(angles)])
     want = np.max(np.sum(np.abs(a @ xs) ** 4, axis=0) ** 0.25)
     assert matrix_lpq_norm(a, 2, 4, tol=1e-10) == pytest.approx(want, rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# eigenfunction norms
-
-
-def test_eigenfunction_l2_is_one():
-    eig = dense_diagonalize(HamiltonianSpec.sample(TorusGrid(1, 16), 0.5, seed=1))
-    out = eigenfunction_lp(eig, 2)
-    np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
-
-
-def test_free_eigenfunction_l6_scaling():
-    # plane waves: L^{-1/3}.  Real cos/sin mixtures of a generic +-k pair give
-    # exactly (5/2)^{1/6} L^{-1/3}; the k = L/4 pair can alias into
-    # half-supported combinations reaching 2^{1/3} L^{-1/3}.
-    L = 64
-    out = eigenfunction_lp(dense_diagonalize(free_spec(1, L)), 6)
-    lo, hi = L ** (-1 / 3) * 0.999, L ** (-1 / 3) * 2 ** (1 / 3) * 1.001
-    assert np.all(out.values >= lo) and np.all(out.values <= hi)
-    assert out.bulk_median == pytest.approx(
-        (5 / 2) ** (1 / 6) * L ** (-1 / 3), rel=1e-3
-    )
-
-
-def test_eigenfunction_window_median():
-    eig = dense_diagonalize(HamiltonianSpec.sample(TorusGrid(2, 12), 0.2, seed=3))
-    out = eigenfunction_lp(eig, 6, window=(-1.0, 1.0))
-    mask = (eig.energies >= -1.0) & (eig.energies <= 1.0)
-    assert out.bulk_median == pytest.approx(np.median(out.values[mask]), rel=1e-12)
-    with pytest.raises(ValueError):
-        eigenfunction_lp(eig, 6, window=(90.0, 91.0))
-
-
-def test_eigenfunction_l6_size_scaling_d2():
-    # delocalized regime: median l6 norm tracks n^{-1/3} = L^{-2/3}
-    medians = {}
-    for L in (16, 32):
-        eig = dense_diagonalize(HamiltonianSpec.sample(TorusGrid(2, L), 0.1, seed=7))
-        medians[L] = eigenfunction_lp(eig, 6, window=(-2.0, 2.0)).bulk_median
-    ratio = medians[16] / medians[32]
-    assert 1.3 <= ratio <= 1.9  # ideal 2^{2/3} = 1.587
