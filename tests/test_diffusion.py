@@ -96,6 +96,39 @@ def test_F_rejects_real_z_and_tiny_resolution():
 
 
 # ---------------------------------------------------------------------------
+# Density of states near the real axis: rho_eta(E) = Im F(E + i eta) / pi
+
+
+def _rho(energy: float, d: int, eta: float) -> float:
+    return F_eval(complex(energy, eta), d).imag / math.pi
+
+
+def test_dos_d1_closed_form():
+    # rho(E) = 1 / (pi sqrt(4 - E^2)) inside the d=1 band; the smoothing error is O(eta^2)
+    assert _rho(1.0, 1, 0.01) == pytest.approx(1.0 / (math.pi * math.sqrt(3.0)), abs=1e-4)
+
+
+def test_dos_vanishes_outside_band():
+    # Outside the band Im F is linear in eta, so the Richardson limit eta -> 0 is zero
+    e = 4.5  # 2d + 0.5
+    assert abs(2.0 * _rho(e, 2, 0.005) - _rho(e, 2, 0.01)) <= 1e-6
+
+
+def test_dos_symmetry():
+    for eta in (0.01, 0.005):
+        assert _rho(1.0, 2, eta) == pytest.approx(_rho(-1.0, 2, eta), abs=1e-8)
+
+
+def test_dos_flags_critical_energy():
+    # E=0 is the d=2 van Hove energy: rho_eta(0) diverges like ln(1/eta) / (2 pi^2), so
+    # each halving of eta adds ln 2 / (2 pi^2), while at E=1 the increments die out
+    etas = [0.04, 0.02, 0.01, 0.005]
+    steps = np.diff([_rho(0.0, 2, eta) for eta in etas])
+    assert steps == pytest.approx(math.log(2.0) / (2.0 * math.pi**2), rel=1e-3)
+    assert np.all(np.abs(np.diff([_rho(1.0, 2, eta) for eta in etas])) <= 1e-4)
+
+
+# ---------------------------------------------------------------------------
 # theta
 
 
