@@ -13,10 +13,13 @@ Evolution everywhere uses the convention psi_t = exp(-i t H) psi_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# Largest site count for which dense linear algebra (eigh / LU) is used.
+# Largest site count the dense-only operations accept (dense_adjacency,
+# dense_hamiltonian, free_propagator_dense, resolvent_dense, dyson_Tk).  It
+# picks no route: resolvent columns are matrix-free GMRES at every size.
 DENSE_LIMIT = 4096
 
 _MASK64 = (1 << 64) - 1
@@ -164,24 +167,55 @@ class HamiltonianSpec:
     def sample(cls, grid: TorusGrid, lam: float, seed: int, stream: int = 0) -> "HamiltonianSpec":
         return cls(grid, lam, sample_disorder(grid, seed, stream))
 
+    @cached_property
+    def potential(self) -> np.ndarray:
+        """lam * V, computed once per Hamiltonian (read-only)."""
+        values = self.lam * self.disorder.values
+        values.flags.writeable = False
+        return values
 
-def apply_adjacency(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+
+def _add_shifted(out: np.ndarray, values: np.ndarray, axis: int, shift: int, assign: bool) -> None:
+    """out (+)= np.roll(values, shift, axis) for shift = +1 or -1, without the copy."""
+    head = (slice(None),) * axis
+    src, dst = (slice(None, -1), slice(1, None)) if shift == 1 else (slice(1, None), slice(None, -1))
+    edge_src, edge_dst = (-1, 0) if shift == 1 else (0, -1)
+    if assign:
+        out[head + (dst,)] = values[head + (src,)]
+        out[head + (edge_dst,)] = values[head + (edge_src,)]
+    else:
+        out[head + (dst,)] += values[head + (src,)]
+        out[head + (edge_dst,)] += values[head + (edge_src,)]
+
+
+def apply_adjacency(grid: TorusGrid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over the 2d unit-vector neighbors.  On L=2 both directions coincide,
-    which correctly double-counts the single neighbor (circulant convention)."""
-    out = np.roll(values, 1, axis=0)
-    out += np.roll(values, -1, axis=0)
+    which correctly double-counts the single neighbor (circulant convention).
+
+    Terms are added in the order roll(+1), roll(-1) per axis, axis 0 first.
+    With ``out`` (same shape and dtype, not sharing memory with ``values``)
+    the sum is written there instead of a new array.
+    """
+    if out is None:
+        out = np.empty_like(values)
+    _add_shifted(out, values, 0, 1, assign=True)
+    _add_shifted(out, values, 0, -1, assign=False)
     for axis in range(1, grid.d):
-        out += np.roll(values, 1, axis=axis)
-        out += np.roll(values, -1, axis=axis)
+        _add_shifted(out, values, axis, 1, assign=False)
+        _add_shifted(out, values, axis, -1, assign=False)
     return out
 
 
-def apply_hamiltonian(spec: HamiltonianSpec, field: ComplexField) -> ComplexField:
+def apply_hamiltonian(
+    spec: HamiltonianSpec, field: ComplexField, out: np.ndarray | None = None
+) -> ComplexField:
+    """H psi; with ``out`` (a complex grid-shaped array not sharing memory with
+    the field) the result is written there and the returned field wraps it."""
     if field.grid != spec.grid:
         raise ValueError("field grid does not match Hamiltonian grid")
-    out = apply_adjacency(spec.grid, field.values)
+    out = apply_adjacency(spec.grid, field.values, out)
     if spec.lam != 0.0:
-        out += spec.lam * spec.disorder.values * field.values
+        out += spec.potential * field.values
     return ComplexField(spec.grid, out)
 
 
@@ -257,5 +291,5 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     out = dense_adjacency(spec.grid)
     if spec.lam != 0.0:
         idx = np.arange(spec.grid.n_sites)
-        out[idx, idx] += spec.lam * spec.disorder.values.ravel()
+        out[idx, idx] += spec.potential.ravel()
     return out

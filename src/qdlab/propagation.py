@@ -126,20 +126,27 @@ def evolve(
     grid = spec.grid
     inv_a = 1.0 / a
 
-    def apply_scaled(v: np.ndarray) -> np.ndarray:
-        w = apply_hamiltonian(spec, ComplexField(grid, v)).values
+    def apply_scaled(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        apply_hamiltonian(spec, ComplexField(grid, v), out=w)
         if c != 0.0:
             w -= c * v
         w *= inv_a
         return w
 
+    # Three rotating buffers hold T_{k-2}, T_{k-1}, T_k applied to psi; each
+    # step is done in place, in the same order of operations as
+    # 2 * apply_scaled(v1) - v0, so no rounding changes.  Once T_k is formed
+    # the T_{k-2} buffer is free and holds the term coeff[k] * T_k.
     v0 = field.values.astype(np.complex128)
-    v1 = apply_scaled(v0)
+    v1 = apply_scaled(v0, np.empty_like(v0))
     out = coeff[0] * v0 + coeff[1] * v1
+    v2 = np.empty_like(v0)
     for k in range(2, m + 1):
-        v2 = 2.0 * apply_scaled(v1) - v0
-        out += coeff[k] * v2
-        v0, v1 = v1, v2
+        apply_scaled(v1, v2)
+        v2 *= 2.0
+        v2 -= v0
+        out += np.multiply(coeff[k], v2, out=v0)
+        v0, v1, v2 = v1, v2, v0
     return ComplexField(grid, out)
 
 
@@ -272,6 +279,22 @@ def _lanczos_top_sigma(op: LinearOperator, rng, tol: float, max_iter: int) -> fl
     )
 
 
+def _real_matrix_product(m: np.ndarray):
+    """v -> m @ v for a real matrix m and a complex v.
+
+    numpy would cast m to complex on every product with a complex vector;
+    the real and imaginary parts of v are multiplied separately instead.
+    """
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = np.empty(m.shape[:1] + v.shape[1:], dtype=np.complex128)
+        out.real = m @ v.real
+        out.imag = m @ v.imag
+        return out
+
+    return apply
+
+
 def op_norm(
     a,
     tol: float = 1e-6,
@@ -295,11 +318,13 @@ def op_norm(
         mat = np.asarray(a)
         if mat.ndim != 2:
             raise ValueError("op_norm expects a matrix or a LinearOperator")
-        herm = mat.conj().T
+        if np.isrealobj(mat):
+            matvec, rmatvec = _real_matrix_product(mat), _real_matrix_product(mat.T)
+        else:
+            herm = mat.conj().T
+            matvec, rmatvec = (lambda v: mat @ v), (lambda v: herm @ v)
         # An explicit dtype keeps scipy from probing the operator with a matvec.
-        op = LinearOperator(
-            mat.shape, matvec=lambda v: mat @ v, rmatvec=lambda v: herm @ v, dtype=np.complex128
-        )
+        op = LinearOperator(mat.shape, matvec=matvec, rmatvec=rmatvec, dtype=np.complex128)
     estimates = []
     for r in range(restarts):
         rng = rng_for(seed, stream=0xA11CE + r)

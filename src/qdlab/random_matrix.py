@@ -218,12 +218,6 @@ class GaussianSeriesEnsemble:
         self.kind = kind
         self.n = int(n)
 
-    @property
-    def n_terms(self) -> int:
-        if self.kind == "diag":
-            return self.n
-        return self.n * (self.n + 1) // 2
-
     def sum_squares_norm(self) -> float:
         """Operator norm of sum_j A_j^2, in closed form."""
         if self.kind == "diag":

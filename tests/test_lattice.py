@@ -170,6 +170,38 @@ def test_adjacency_matches_dense(d, L):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [2, 3, 7])
+def test_adjacency_equals_roll_sum_bitwise(d, L):
+    # The in-place stencil adds the same terms in the same order as the
+    # np.roll sum, so every entry is bit-identical, with or without `out`,
+    # and for a non-contiguous input.
+    grid = TorusGrid(d, L)
+    values = random_field(grid, seed=d * 100 + L).values
+    want = np.roll(values, 1, axis=0)
+    want += np.roll(values, -1, axis=0)
+    for axis in range(1, d):
+        want += np.roll(values, 1, axis=axis)
+        want += np.roll(values, -1, axis=axis)
+    assert np.array_equal(apply_adjacency(grid, values), want)
+    out = np.full(grid.shape, np.nan, dtype=np.complex128)
+    assert apply_adjacency(grid, values, out) is out
+    assert np.array_equal(out, want)
+    transposed = np.ascontiguousarray(values.T).T
+    assert np.array_equal(apply_adjacency(grid, transposed), want)
+
+
+def test_hamiltonian_out_buffer():
+    grid = TorusGrid(2, 8)
+    spec = HamiltonianSpec.sample(grid, lam=0.7, seed=2)
+    f = random_field(grid, seed=9)
+    buf = np.empty(grid.shape, dtype=np.complex128)
+    got = apply_hamiltonian(spec, f, out=buf)
+    assert got.values is buf
+    assert np.array_equal(buf, apply_hamiltonian(spec, f).values)
+    assert not spec.potential.flags.writeable
+
+
 def test_adjacency_L2_double_counts():
     # On L=2 both hops land on the same neighbor, so the circulant weight is 2.
     grid = TorusGrid(1, 2)

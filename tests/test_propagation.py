@@ -192,10 +192,14 @@ def test_op_norm_basics():
 
 
 def test_op_norm_matches_svd():
+    # A complex matrix, and a real one, which op_norm applies to the real and
+    # imaginary parts of each vector separately.
     rng = rng_for(3, stream=0)
-    a = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
-    want = np.linalg.svd(a, compute_uv=False)[0]
-    assert op_norm(a, tol=1e-10) == pytest.approx(want, rel=1e-8)
+    complex_a = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+    real_a = rng_for(6, stream=0).standard_normal((40, 40))
+    for a in (complex_a, real_a):
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        assert op_norm(a, tol=1e-10) == pytest.approx(want, rel=1e-8)
 
 
 def test_op_norm_matrix_free_route():

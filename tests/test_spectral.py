@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qdlab import spectral
 from qdlab.errors import NonConvergenceError
 from qdlab.lattice import (
     HamiltonianSpec,
@@ -41,6 +42,21 @@ def test_free_spectrum_is_dispersion():
     eig = dense_diagonalize(free_spec(1, 8))
     want = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(8) / 8))
     np.testing.assert_allclose(eig.energies, want, atol=1e-10)
+
+
+def test_windowed_diagonalization_gives_the_same_projection():
+    spec = HamiltonianSpec.sample(TorusGrid(2, 12), 0.3, seed=4)
+    energy, width = 0.7, 0.4
+    full = dense_diagonalize(spec)
+    part = dense_diagonalize(spec, window=(energy - width, energy + width))
+    inside = (full.energies > energy - width) & (full.energies <= energy + width)
+    np.testing.assert_allclose(part.energies, full.energies[inside], atol=1e-12)
+    got = spectral_projection(part, energy, width)
+    want = spectral_projection(full, energy, width)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    empty = dense_diagonalize(spec, window=(10.0, 11.0))
+    assert empty.energies.size == 0
+    assert np.max(np.abs(spectral_projection(empty, 10.5, 0.5))) == 0.0
 
 
 def test_trace_identities():
@@ -153,7 +169,7 @@ def test_resolvent_is_symmetric():
     assert np.max(np.abs(r - r.T)) <= 1e-9
 
 
-def test_ward_identity_dense_column():
+def test_ward_identity_column_small_grid():
     spec = HamiltonianSpec.sample(TorusGrid(2, 16), 0.4, seed=8)
     z = 1.0 + 0.05j
     col = resolvent_column(spec, z)
@@ -162,12 +178,20 @@ def test_ward_identity_dense_column():
     assert report.column_mass == pytest.approx(report.diag_imag_over_eta, rel=1e-10)
 
 
-def test_ward_identity_iterative_column():
-    # beyond the dense limit: preconditioned GMRES route
+def test_ward_identity_column_large_grid_off_origin():
     spec = HamiltonianSpec.sample(TorusGrid(2, 128), 0.3, seed=4)
     z = 0.8 + 0.5j
     col = resolvent_column(spec, z, site=(3, 5))
     assert ward_check(col, z, site=(3, 5)).rel_error <= 1e-8
+
+
+def test_column_raises_with_residual_when_restart_budget_runs_out(monkeypatch):
+    # One restart cycle of 60 Krylov vectors leaves a residual near 1e-1 here.
+    monkeypatch.setattr(spectral, "COLUMN_MAX_CYCLES", 1)
+    spec = HamiltonianSpec.sample(TorusGrid(2, 16), 1.0, seed=0)
+    with pytest.raises(NonConvergenceError, match=r"residual \d\.\d{3}e[-+]\d\d > rtol") as err:
+        resolvent_column(spec, 0.3 + 0.001j)
+    assert "lam=1, eta=0.001, lam^2/eta=1e+03" in str(err.value)
 
 
 def test_ward_check_rejects_lower_half_plane():
@@ -176,12 +200,20 @@ def test_ward_check_rejects_lower_half_plane():
         ward_check(col, 1.0 - 0.1j)
 
 
-def test_off_origin_column_source():
-    spec = HamiltonianSpec.sample(TorusGrid(1, 12), 0.5, seed=6)
-    z = 0.2 + 0.2j
-    col = resolvent_column(spec, z, site=(7,))
-    want = resolvent_dense(spec, z)[:, 7]
-    assert np.max(np.abs(col - want)) <= 1e-10
+@pytest.mark.parametrize(
+    "d, L, lam, z, site",
+    [
+        (1, 12, 0.5, 0.2 + 0.2j, (7,)),
+        # d=2 with eta = lam^2 / 2, the lower edge of the deloc_check crossover window
+        (2, 16, 0.4, 1.0 + 0.08j, (5, 11)),
+    ],
+    ids=["d1", "d2"],
+)
+def test_off_origin_column_source(d, L, lam, z, site):
+    spec = HamiltonianSpec.sample(TorusGrid(d, L), lam, seed=6)
+    col = resolvent_column(spec, z, site=site)
+    want = resolvent_dense(spec, z)[:, np.ravel_multi_index(site, spec.grid.shape)]
+    assert np.max(np.abs(col - want.reshape(spec.grid.shape))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
