@@ -188,6 +188,17 @@ def _add_shifted(out: np.ndarray, values: np.ndarray, axis: int, shift: int, ass
         out[head + (edge_dst,)] += values[head + (edge_src,)]
 
 
+def _add_neighbours(
+    grid: TorusGrid, values: np.ndarray, out: np.ndarray, assign_first: bool
+) -> None:
+    """out += sum of the 2d unit-vector shifts of values, in the order roll(+1),
+    roll(-1) per axis, axis 0 first; with ``assign_first`` the first term is
+    written rather than added."""
+    for axis in range(grid.d):
+        _add_shifted(out, values, axis, 1, assign=assign_first and axis == 0)
+        _add_shifted(out, values, axis, -1, assign=False)
+
+
 def apply_adjacency(grid: TorusGrid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over the 2d unit-vector neighbors.  On L=2 both directions coincide,
     which correctly double-counts the single neighbor (circulant convention).
@@ -198,11 +209,22 @@ def apply_adjacency(grid: TorusGrid, values: np.ndarray, out: np.ndarray | None 
     """
     if out is None:
         out = np.empty_like(values)
-    _add_shifted(out, values, 0, 1, assign=True)
-    _add_shifted(out, values, 0, -1, assign=False)
-    for axis in range(1, grid.d):
-        _add_shifted(out, values, axis, 1, assign=False)
-        _add_shifted(out, values, axis, -1, assign=False)
+    _add_neighbours(grid, values, out, assign_first=True)
+    return out
+
+
+def hamiltonian_product(spec: HamiltonianSpec, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = H values for a real or complex grid-shaped array, with no temporary.
+
+    lam V values is written into ``out`` (same shape and dtype, not sharing
+    memory with ``values``) and the 2d neighbor slices are added to it.  This
+    is the one stencil: `apply_hamiltonian` and the Chebyshev recursion of
+    `qdlab.propagation` both call it.
+    """
+    if spec.lam == 0.0:
+        return apply_adjacency(spec.grid, values, out)
+    np.multiply(spec.potential, values, out=out)
+    _add_neighbours(spec.grid, values, out, assign_first=False)
     return out
 
 
@@ -213,10 +235,9 @@ def apply_hamiltonian(
     the field) the result is written there and the returned field wraps it."""
     if field.grid != spec.grid:
         raise ValueError("field grid does not match Hamiltonian grid")
-    out = apply_adjacency(spec.grid, field.values, out)
-    if spec.lam != 0.0:
-        out += spec.potential * field.values
-    return ComplexField(spec.grid, out)
+    if out is None:
+        out = np.empty_like(field.values)
+    return ComplexField(spec.grid, hamiltonian_product(spec, field.values, out))
 
 
 def dispersion(xi) -> np.ndarray:

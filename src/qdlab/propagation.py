@@ -2,7 +2,10 @@
 
 exp(-i t H) is applied with a Chebyshev polynomial expansion whose order is
 certified by a Bessel-coefficient tail bound, so the propagator error is at
-most ``tol`` in operator norm on the planned spectral interval.  The Dyson
+most ``tol`` in operator norm on the planned spectral interval.  One
+recursion from t = 0 serves every sample time of a trajectory, each time
+certified on its own; it runs in real arithmetic for a real start, since H
+is real.  The Dyson
 collision operators
 
     T_0(t) = exp(-i t A),   T_j(t) = int_0^t exp(-i (t-s) A) V T_{j-1}(s) ds
@@ -18,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv
 
@@ -26,11 +30,10 @@ from .lattice import (
     DENSE_LIMIT,
     ComplexField,
     HamiltonianSpec,
-    apply_hamiltonian,
-    delta_field,
     distance_sq_grid,
     free_propagate,
     free_propagator_dense,
+    hamiltonian_product,
     rng_for,
 )
 
@@ -50,10 +53,6 @@ class ChebyshevPlan:
     @property
     def half_width(self) -> float:
         return 0.5 * (self.interval[1] - self.interval[0])
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.interval[1] + self.interval[0])
 
 
 def _bessel_tail_order(tau: float, tol: float) -> int:
@@ -101,6 +100,61 @@ def plan_evolution(
     return ChebyshevPlan(interval=(-half, half), order=order, tol=tol)
 
 
+def _chebyshev(
+    spec: HamiltonianSpec, start: np.ndarray, times: np.ndarray, tol: float, max_order: int
+):
+    """Yield (j, even, odd) with exp(-i t_j H) start = even + i odd, for every
+    time, from one Chebyshev recursion.
+
+    exp(-i t H) = sum_k (2 - delta_k0) (-i sgn t)^k J_k(a|t|) T_k(H/a) on the
+    planned interval [-a, a].  (-i sgn t)^k is real for even k and -i sgn t
+    times a real sign for odd k, so each time keeps an even and an odd
+    accumulator with real coefficients.  For a real start the vectors
+    T_k(H/a) start are real, and everything runs in the start's dtype.
+
+    ``start`` is taken over as the T_0 buffer.  Every order is planned before
+    the first step, so OrderOverflowError comes first.  Time j stops
+    accumulating past its own certified order and is yielded (in order of
+    certified order, ties in index order); the caller may overwrite the
+    accumulators it is given.  3 + 2 * len(times) fields of the start's dtype
+    are held.
+    """
+    plans = [plan_evolution(spec, t, tol=tol, max_order=max_order) for t in times]
+    rank = np.argsort([plan.order for plan in plans], kind="stable")
+    orders = [plans[i].order for i in rank]
+    a = plans[0].half_width
+    k = np.arange(orders[-1] + 1)
+    # coeff[k, i] multiplies T_k for the time rank[i].
+    coeff = jv(k[:, None], a * np.abs(times[rank])) * np.where(k % 4 < 2, 2.0, -2.0)[:, None]
+    coeff[0] *= 0.5
+    coeff[1::2] *= -np.sign(times[rank])
+
+    # T_{k-2}, T_{k-1}, T_k rotate through three buffers; each step writes
+    # H T_{k-1} in place, scales it by 2/a and subtracts T_{k-2}.  Row i of
+    # even / odd accumulates the time rank[i], so the rows still accumulating
+    # are a trailing block, updated by one rank-1 BLAS call (ger) per step.
+    # One axpy call per time does the same arithmetic, but on fields of a few
+    # 10^4 sites BLAS's thread hand-off per call then costs more than it.
+    ger = get_blas_funcs("ger", (start,))
+    v0 = start
+    v1 = hamiltonian_product(spec, v0, np.empty_like(v0))
+    v1 *= 1.0 / a
+    v2 = np.empty_like(v0)
+    even = coeff[0, :, None] * v0.ravel()
+    odd = coeff[1, :, None] * v1.ravel()
+    done = 0
+    for step in range(2, k.size):
+        hamiltonian_product(spec, v1, v2)
+        v2 *= 2.0 / a
+        v2 -= v0
+        acc = even if step % 2 == 0 else odd
+        ger(1.0, v2.ravel(), coeff[step, done:], a=acc[done:].T, overwrite_a=True)
+        while done < len(orders) and orders[done] == step:
+            yield rank[done], even[done].reshape(start.shape), odd[done].reshape(start.shape)
+            done += 1
+        v0, v1, v2 = v1, v2, v0
+
+
 def evolve(
     spec: HamiltonianSpec,
     field: ComplexField,
@@ -109,55 +163,25 @@ def evolve(
     max_order: int = 500_000,
 ) -> ComplexField:
     """psi -> exp(-i t H) psi.  Signed t is accepted (negative t = adjoint)."""
-    plan = plan_evolution(spec, t, tol=tol, max_order=max_order)
-    if t == 0.0:
-        return field.copy()
-    a = plan.half_width
-    c = plan.center
-    tau = abs(t) * a
-    sgn = 1.0 if t >= 0 else -1.0
-    m = plan.order
+    if field.grid != spec.grid:
+        raise ValueError("field grid does not match Hamiltonian grid")
+    ((_, psi, odd),) = _chebyshev(spec, field.values.copy(), np.array([float(t)]), tol, max_order)
+    psi += 1j * odd
+    return ComplexField(spec.grid, psi)
 
-    coeff = jv(np.arange(m + 1), tau).astype(np.complex128)
-    coeff *= (-1j * sgn) ** np.arange(m + 1)
-    coeff[1:] *= 2.0
-    coeff *= np.exp(-1j * t * c)
 
-    grid = spec.grid
-    inv_a = 1.0 / a
-
-    def apply_scaled(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        apply_hamiltonian(spec, ComplexField(grid, v), out=w)
-        if c != 0.0:
-            w -= c * v
-        w *= inv_a
-        return w
-
-    # Three rotating buffers hold T_{k-2}, T_{k-1}, T_k applied to psi; each
-    # step is done in place, in the same order of operations as
-    # 2 * apply_scaled(v1) - v0, so no rounding changes.  Once T_k is formed
-    # the T_{k-2} buffer is free and holds the term coeff[k] * T_k.
-    v0 = field.values.astype(np.complex128)
-    v1 = apply_scaled(v0, np.empty_like(v0))
-    out = coeff[0] * v0 + coeff[1] * v1
-    v2 = np.empty_like(v0)
-    for k in range(2, m + 1):
-        apply_scaled(v1, v2)
-        v2 *= 2.0
-        v2 -= v0
-        out += np.multiply(coeff[k], v2, out=v0)
-        v0, v1, v2 = v1, v2, v0
-    return ComplexField(grid, out)
+def _spread(weights: np.ndarray, density: np.ndarray) -> tuple[float, float]:
+    """(sum w rho / sum rho, sum rho) for a density rho = |psi|^2."""
+    total = float(np.sum(density))
+    if total == 0.0:
+        raise ValueError("cannot form the displacement average of the zero field")
+    return float(np.vdot(weights, density)) / total, total
 
 
 def msd(field: ComplexField, origin=None) -> float:
     """Mean-square displacement sum |x|^2 |psi(x)|^2 / ||psi||^2, minimal-image."""
-    weights = distance_sq_grid(field.grid, origin)
     density = field.values.real**2 + field.values.imag**2
-    total = float(np.sum(density))
-    if total == 0.0:
-        raise ValueError("cannot form the displacement average of the zero field")
-    return float(np.sum(weights * density) / total)
+    return _spread(distance_sq_grid(field.grid, origin), density)[0]
 
 
 @dataclass
@@ -184,36 +208,49 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Evolve (default: from a point mass at the origin) and sample r^2(t).
 
-    Evolution proceeds segment by segment between sample times; a
-    WraparoundWarning fires once if r(t) exceeds L/4, where the minimal-image
-    r^2 starts to saturate.
+    Every sample time is read off one Chebyshev recursion from t = 0, each
+    certified to ``tol`` on its own (errors do not add up over the times),
+    with the order of the largest time checked against ``max_order`` before
+    any step.  The recursion runs in the start's dtype, real for the default
+    point mass, and holds 3 + 2 * len(times) fields of that dtype.  A
+    WraparoundWarning fires once if r(t) exceeds L/4, where the
+    minimal-image r^2 starts to saturate.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and non-negative")
-    psi = delta_field(spec.grid) if psi0 is None else psi0.copy()
+    grid = spec.grid
+    if psi0 is None:
+        start = np.zeros(grid.shape)
+        start[(0,) * grid.d] = 1.0
+    elif psi0.grid != grid:
+        raise ValueError(f"psi0 lives on {psi0.grid}, the Hamiltonian on {grid}")
+    else:
+        start = psi0.values.copy()
 
+    weights = distance_sq_grid(grid)
     msds = np.empty(times.size)
     masses = np.empty(times.size)
-    t_prev = 0.0
-    warned = False
-    for i, t_i in enumerate(times):
-        dt = t_i - t_prev
-        if dt > 0:
-            psi = evolve(spec, psi, dt, tol=tol, max_order=max_order)
-        t_prev = t_i
-        msds[i] = msd(psi)
-        masses[i] = psi.norm() ** 2
-        if not warned and math.sqrt(msds[i]) > spec.grid.L / 4.0:
-            warnings.warn(
-                f"r(t)={math.sqrt(msds[i]):.1f} exceeds L/4={spec.grid.L / 4:.1f} at t={t_i}; "
-                "minimal-image displacement is saturating",
-                WraparoundWarning,
-                stacklevel=2,
-            )
-            warned = True
+    for j, even, odd in _chebyshev(spec, start, times, tol, max_order):
+        # |even + i odd|^2, in the accumulators' own memory when they are real.
+        if np.iscomplexobj(even):
+            even += 1j * odd
+            density = even.real**2 + even.imag**2
+        else:
+            density = np.square(even, out=even)
+            density += np.square(odd, out=odd)
+        msds[j], masses[j] = _spread(weights, density)
+    far = np.nonzero(np.sqrt(msds) > grid.L / 4.0)[0]
+    if far.size:
+        i = far[0]
+        warnings.warn(
+            f"r(t)={math.sqrt(msds[i]):.1f} exceeds L/4={grid.L / 4:.1f} at t={times[i]}; "
+            "minimal-image displacement is saturating",
+            WraparoundWarning,
+            stacklevel=2,
+        )
 
     avg = np.empty(times.size)
     avg[0] = msds[0]

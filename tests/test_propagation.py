@@ -182,6 +182,83 @@ def test_wraparound_warning_fires_once():
     assert rec.msd.size == 3
 
 
+def displacement_oracle(spec, psi0, t):
+    """(msd, mass) of exp(-itH) psi0 from a dense eigh propagator and a direct
+    minimal-image sum over the sites."""
+    psi = spectral_propagator(spec, t) @ psi0.ravel()
+    density = np.abs(psi) ** 2
+    L = spec.grid.L
+    coords = np.indices(spec.grid.shape).reshape(spec.grid.d, -1)
+    r2 = np.sum(np.minimum(coords, L - coords) ** 2, axis=0)
+    return float(r2 @ density / density.sum()), float(density.sum())
+
+
+@pytest.mark.filterwarnings("ignore::qdlab.propagation.WraparoundWarning")
+@pytest.mark.parametrize("start", ["point", "complex"])
+def test_trajectory_matches_dense_propagator(start):
+    spec = HamiltonianSpec.sample(TorusGrid(2, 10), 0.5, seed=5)
+    times = (0.0, 0.7, 3.1, 9.4)
+    if start == "point":
+        psi0 = None
+        values = delta_field(spec.grid).values
+    else:
+        rng = rng_for(8, stream=1)
+        values = rng.standard_normal(spec.grid.shape) + 1j * rng.standard_normal(spec.grid.shape)
+        psi0 = ComplexField(spec.grid, values / np.linalg.norm(values))
+        values = psi0.values
+    rec = run_trajectory(spec, times, psi0=psi0, tol=1e-10)
+    for t, got_msd, got_mass in zip(times, rec.msd, rec.mass):
+        want_msd, want_mass = displacement_oracle(spec, values, t)
+        assert got_mass == pytest.approx(want_mass, rel=1e-9)
+        if t > 0:
+            assert got_msd == pytest.approx(want_msd, rel=1e-9)
+        else:
+            assert got_msd == pytest.approx(want_msd, abs=1e-12)
+
+
+def test_trajectory_errors_do_not_add_over_sample_times():
+    # Each sample time is certified on its own: with 30 sample times the last
+    # one carries the same error as when it is the only one.  Evolving
+    # segment by segment would add up to 30 tol.
+    spec = HamiltonianSpec.sample(TorusGrid(1, 64), 0.4, seed=3)
+    tol = 1e-6
+    times = np.geomspace(0.5, 20.0, 30)
+    want_msd, _ = displacement_oracle(spec, delta_field(spec.grid).values, times[-1])
+    many = run_trajectory(spec, times, tol=tol)
+    one = run_trajectory(spec, times[-1:], tol=tol)
+    for rec in (many, one):
+        assert abs(rec.msd[-1] - want_msd) <= 10 * tol * want_msd
+        assert abs(rec.mass[-1] - 1.0) <= 10 * tol
+    assert abs(many.msd[-1] - one.msd[-1]) <= 1e-3 * tol * want_msd
+    assert abs(many.mass[-1] - one.mass[-1]) <= 1e-3 * tol
+
+
+def test_trajectory_order_overflow_before_any_step(monkeypatch):
+    # The order comes from the largest time, not from the gap between times:
+    # t = 10 alone fits max_order, t = 20 does not.
+    import qdlab.propagation as propagation
+
+    spec = small_spec()
+    max_order = plan_evolution(spec, 10.0).order
+    assert plan_evolution(spec, 20.0).order > max_order
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a Chebyshev step ran before the order check")
+
+    monkeypatch.setattr(propagation, "hamiltonian_product", no_step)
+    with pytest.raises(OrderOverflowError):
+        run_trajectory(spec, [10.0, 20.0], max_order=max_order)
+
+
+def test_start_on_another_grid_is_rejected():
+    spec = small_spec()
+    other = delta_field(TorusGrid(1, 16))
+    with pytest.raises(ValueError, match="psi0"):
+        run_trajectory(spec, [1.0], psi0=other)
+    with pytest.raises(ValueError):
+        evolve(spec, other, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # op_norm
 
