@@ -1,12 +1,11 @@
 """Time evolution, mean-square displacement, and collision-expansion operators.
 
 exp(-i t H) is applied with a Chebyshev polynomial expansion whose order is
-certified by a Bessel-coefficient tail bound, so the propagator error is at
-most ``tol`` in operator norm on the planned spectral interval.  One
-recursion from t = 0 serves every sample time of a trajectory, each time
-certified on its own; it runs in real arithmetic for a real start, since H
-is real.  The Dyson
-collision operators
+certified by Kapteyn's bound on the Bessel-coefficient tail, so the
+propagator error is at most ``tol`` in operator norm on the planned spectral
+interval.  One recursion from t = 0 serves every sample time of a
+trajectory, each time certified on its own; it runs in real arithmetic for a
+real start, since H is real.  The Dyson collision operators
 
     T_0(t) = exp(-i t A),   T_j(t) = int_0^t exp(-i (t-s) A) V T_{j-1}(s) ds
 
@@ -55,25 +54,41 @@ class ChebyshevPlan:
         return 0.5 * (self.interval[1] - self.interval[0])
 
 
+def _kapteyn_log_bound(tau: float, k: np.ndarray) -> np.ndarray:
+    """log b_k of Kapteyn's bound |J_k(tau)| <= b_k = (x e^s / (1 + s))^k,
+    x = tau / k, s = sqrt(1 - x^2), for k >= tau > 0 (DLMF 10.14.5).
+
+    With q = k s = sqrt(k^2 - tau^2), log b_k = k ln(tau / (k + q)) + q.
+    """
+    q = np.sqrt((k - tau) * (k + tau))
+    return k * np.log(tau / (k + q)) + q
+
+
 def _bessel_tail_order(tau: float, tol: float) -> int:
-    """Smallest order m with sum_{k>m} 2|J_k(tau)| <= tol, via the certified
-    bound |J_k(tau)| <= (tau e / 2k)^k / sqrt(2 pi k) and a geometric tail."""
+    """Smallest order m >= 2 whose certified tail sum_{k>m} 2|J_k(tau)| is <= tol.
+
+    Each |J_k(tau)| with k >= tau is bounded by Kapteyn's b_k = exp f(k),
+    f(k) = k ln(tau / (k + q)) + q, q = sqrt(k^2 - tau^2) (`_kapteyn_log_bound`).
+    Then f'(k) = ln(x / (1 + s)) with x = tau / k, s = q / k, which is < 0
+    for k > tau, and f''(k) = -1 / q < 0.  So the ratios
+    b_{k+1} / b_k = exp(int_k^{k+1} f') are below 1 and decrease with k.  For
+    m + 1 >= tau every b_{m+1+j} is then at most b_{m+1} rho^j with
+    rho = b_{m+2} / b_{m+1}, and the tail is at most 2 b_{m+1} / (1 - rho).
+    Both factors fall with m, so the first m that meets tol, scanning up from
+    ceil(tau) - 1, is the smallest.
+    """
     if tau < 1e-12:
         return 2
-    lo = max(4, int(math.ceil(tau)))
-    hi = max(lo + 64, int(math.ceil(1.5 * math.e / 2.0 * tau)) + 64)
+    lo, width = max(2, math.ceil(tau) - 1), 64
     while True:
-        ms = np.arange(lo, hi + 1, dtype=float)
-        k1 = ms + 1.0
-        ratio = tau * math.e / (2.0 * (ms + 2.0))
-        log_b1 = k1 * (np.log(tau * math.e / 2.0) - np.log(k1)) - 0.5 * np.log(2.0 * np.pi * k1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_tail = log_b1 + np.log(2.0) - np.log1p(-np.minimum(ratio, 0.9))
-        ok = (ratio <= 0.9) & (log_tail <= math.log(tol))
-        hits = np.nonzero(ok)[0]
+        ms = np.arange(lo, lo + width, dtype=float)
+        log_b1 = _kapteyn_log_bound(tau, ms + 1.0)
+        log_rho = _kapteyn_log_bound(tau, ms + 2.0) - log_b1
+        log_tail = math.log(2.0) + log_b1 - np.log(-np.expm1(log_rho))
+        hits = np.nonzero(log_tail <= math.log(tol))[0]
         if hits.size:
             return int(ms[hits[0]])
-        lo, hi = hi + 1, 2 * hi  # tau huge relative to first window; widen
+        lo, width = lo + width, 2 * width  # tau large against the window; widen
 
 
 def plan_evolution(

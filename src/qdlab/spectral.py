@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import NonConvergenceError
 from .lattice import (
@@ -145,28 +144,89 @@ COLUMN_RESTART = 60
 COLUMN_MAX_CYCLES = 400
 
 
+def _gmres(matvec, b: np.ndarray, rtol: float, restart: int, max_cycles: int):
+    """Restarted GMRES for matvec(x) = b from x = 0: (x, converged), where
+    converged means ||b - matvec(x)|| <= rtol ||b|| (Saad & Schultz 1986).
+
+    The Krylov basis is one Fortran-ordered (n, restart + 1) array, and each
+    new vector is orthogonalized by classical Gram-Schmidt applied twice
+    (twice is enough), each pass two matrix-vector products.  The least
+    squares residual is tracked by Givens rotations; a cycle ends at that
+    estimate, at the restart length or at a happy breakdown, and the next one
+    restarts from the recomputed residual.
+    """
+    atol = rtol * np.linalg.norm(b)
+    eps = np.finfo(float).eps
+    basis = np.empty((b.size, restart + 1), dtype=np.complex128, order="F")
+    x = np.zeros_like(b)
+    r = b.copy()
+    for _ in range(max_cycles):
+        beta = np.linalg.norm(r)
+        if beta <= atol:
+            return x, True
+        basis[:, 0] = r / beta
+        h = np.zeros((restart + 1, restart), dtype=np.complex128)
+        g = np.zeros(restart + 1, dtype=np.complex128)
+        g[0] = beta
+        rotations = []
+        for j in range(restart):
+            w = matvec(basis[:, j])
+            w_norm = np.linalg.norm(w)
+            v = basis[:, : j + 1]
+            # numpy's matmul, not scipy.linalg.blas: the two link separate
+            # OpenBLAS copies, and alternating calls between their thread
+            # pools made a d=3 L=24 column six times slower on 2 cores.
+            for _ in range(2):
+                c = np.conj(np.conj(w) @ v)  # V^H w
+                w -= v @ c
+                h[: j + 1, j] += c
+            h[j + 1, j] = np.linalg.norm(w)
+            breakdown = h[j + 1, j].real <= eps * w_norm
+            if not breakdown:
+                basis[:, j + 1] = w / h[j + 1, j]
+            for i, (cs, sn) in enumerate(rotations):
+                top, low = h[i, j], h[i + 1, j]
+                h[i, j], h[i + 1, j] = cs * top + sn * low, cs * low - np.conj(sn) * top
+            # The rotation [[cs, sn], [-conj(sn), cs]] zeroes h[j + 1, j].
+            top, low = h[j, j], h[j + 1, j]
+            norm = math.hypot(abs(top), abs(low))
+            phase = top / abs(top) if top != 0 else 1.0
+            cs, sn = abs(top) / norm, phase * np.conj(low) / norm
+            rotations.append((cs, sn))
+            h[j, j], h[j + 1, j] = phase * norm, 0.0
+            g[j], g[j + 1] = cs * g[j], -np.conj(sn) * g[j]
+            if abs(g[j + 1]) <= atol or breakdown:
+                break
+        y = scipy.linalg.solve_triangular(h[: j + 1, : j + 1], g[: j + 1])
+        x += basis[:, : j + 1] @ y
+        r = b - matvec(x)
+    return x, bool(np.linalg.norm(r) <= atol)
+
+
 def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray:
     """One column R(z) e_site as a grid-shaped array.
 
-    Matrix-free GMRES, preconditioned on the right by the free resolvent
-    (A - z)^{-1} applied through FFT.  The true residual ||(H - z) x - e_site||
-    is recomputed from x; NonConvergenceError, with that residual, if it is
-    above COLUMN_RTOL or GMRES ran out of its restart budget.
+    Matrix-free GMRES (`_gmres`), preconditioned on the right by the free
+    resolvent (A - z)^{-1} applied through FFT.  The true residual
+    ||(H - z) x - e_site|| is recomputed from x; NonConvergenceError, with
+    that residual, if it is above COLUMN_RTOL or GMRES ran out of its restart
+    budget.
 
     The preconditioned operator is I + lam V (A - z)^{-1}, so convergence
     depends on lam^2 / eta (eta = Im z), not on the size.  Supported regime:
     lam^2 / eta of order one or below, as in criteria 8-10 and
-    configs/deloc.ini (lam^2 / eta = 1: about 50 iterations, 0.05-0.11 s a
-    column at d=2 L=64, 1.2-1.3 s at L=256).  Far above it GMRES slows down
-    or stalls: at lam^2 / eta = 1000 one 256-site column took 3.3 s, and at
-    25-200 on L=128-256 grids it raised NonConvergenceError after 24-160 s.
+    configs/deloc.ini (lam^2 / eta = 1, on a 2-core VM: 50-70 iterations,
+    0.02-0.04 s a column at d=2 L=64, 0.39-0.50 s at L=256, 0.09-0.14 s at
+    d=3 L=24).  Far above it GMRES slows down or stalls: at lam^2 / eta = 1000
+    (d=2 L=16 lam=1 z=0.3+0.001i) one 256-site column takes about 6600
+    iterations, 0.8-1.3 s, and at 25-200 on L=128-256 grids the restart
+    budget runs out and NonConvergenceError is raised.
     """
     grid = spec.grid
     if z.imag == 0.0:
         raise ValueError("z must have a nonzero imaginary part")
     if site is None:
         site = (0,) * grid.d
-    n = grid.n_sites
     b = np.zeros(grid.shape, dtype=np.complex128)
     b[tuple(int(c) % grid.L for c in site)] = 1.0
 
@@ -178,21 +238,13 @@ def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray
         my = apply_free_resolvent(grid, z, y.reshape(grid.shape))
         return (y.reshape(grid.shape) + lam_v * my).ravel()
 
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=precond_matvec, dtype=np.complex128
-    )
-    y, info = scipy.sparse.linalg.gmres(
-        op,
-        b.ravel(),
-        rtol=COLUMN_RTOL / 10.0,
-        atol=0.0,
-        maxiter=COLUMN_MAX_CYCLES,
-        restart=COLUMN_RESTART,
+    y, converged = _gmres(
+        precond_matvec, b.ravel(), COLUMN_RTOL / 10.0, COLUMN_RESTART, COLUMN_MAX_CYCLES
     )
     x = apply_free_resolvent(grid, z, y.reshape(grid.shape))
     hx = np.fft.ifftn(np.fft.fftn(x) * momentum_grid(grid))  # A x
     residual = np.linalg.norm((hx + lam_v * x - z * x - b).ravel())
-    if info != 0 or residual > COLUMN_RTOL:
+    if not converged or residual > COLUMN_RTOL:
         raise NonConvergenceError(
             f"resolvent solve at z={z} stalled: residual {residual:.3e} "
             f"> rtol {COLUMN_RTOL:.1e} (lam={spec.lam:g}, eta={z.imag:g}, "

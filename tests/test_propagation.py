@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
+from scipy.special import jv
 
 from qdlab.errors import NonConvergenceError, OrderOverflowError
 from qdlab.lattice import (
@@ -21,6 +22,8 @@ from qdlab.lattice import (
 )
 from qdlab.propagation import (
     WraparoundWarning,
+    _bessel_tail_order,
+    _kapteyn_log_bound,
     dyson_Tk,
     evolve,
     msd,
@@ -112,6 +115,29 @@ def test_order_overflow():
         plan_evolution(spec, 50.0, tol=1e-8, max_order=10)
     with pytest.raises(OrderOverflowError):
         evolve(spec, delta_field(spec.grid), 50.0, max_order=10)
+
+
+@pytest.mark.parametrize("tau", np.logspace(-2.0, 4.0, 13))
+def test_bessel_tail_order_certifies_the_summed_tail(tau):
+    # tails[m] = sum_{k>m} 2|J_k(tau)|, summed from jv past where it underflows.
+    terms = 2.0 * np.abs(jv(np.arange(int(2 * tau) + 200), tau))
+    tails = np.cumsum(terms[::-1])[::-1][1:]
+    for tol in (1e-13, 1e-11, 1e-9, 1e-7, 1e-5):
+        m = _bessel_tail_order(tau, tol)
+        exact = int(np.nonzero(tails <= tol)[0][0])
+        assert tails[m] <= tol
+        # Kapteyn's bound is tight to a few tau^(1/3) orders, not a multiple of tau.
+        assert m <= exact + 2 + 1.5 * tau ** (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("tau", [0.3, 7.5, 174.0, 9200.0])
+def test_kapteyn_bound_ratios_do_not_increase(tau):
+    k = np.arange(math.ceil(tau), math.ceil(tau) + 3000, dtype=float)
+    log_b = _kapteyn_log_bound(tau, k)
+    assert np.all(np.diff(log_b) < 0.0)
+    assert np.all(np.diff(log_b, 2) <= 1e-12)
+    with np.errstate(divide="ignore"):
+        assert np.all(np.log(np.abs(jv(k, tau))) <= log_b + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from qdlab import spectral
 from qdlab.errors import NonConvergenceError
@@ -192,6 +193,52 @@ def test_column_raises_with_residual_when_restart_budget_runs_out(monkeypatch):
     with pytest.raises(NonConvergenceError, match=r"residual \d\.\d{3}e[-+]\d\d > rtol") as err:
         resolvent_column(spec, 0.3 + 0.001j)
     assert "lam=1, eta=0.001, lam^2/eta=1e+03" in str(err.value)
+
+
+@pytest.mark.parametrize("d, L", [(2, 32), (3, 12)])
+def test_column_matches_scipy_gmres_on_the_preconditioned_operator(d, L):
+    spec = HamiltonianSpec.sample(TorusGrid(d, L), 0.2, seed=1)
+    z = 1.0 + 0.04j
+    grid = spec.grid
+
+    def matvec(y):
+        y = y.reshape(grid.shape)
+        return (y + spec.potential * apply_free_resolvent(grid, z, y)).ravel()
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (grid.n_sites,) * 2, matvec=matvec, dtype=np.complex128
+    )
+    b = delta_field(grid).values.astype(np.complex128).ravel()
+    y, info = scipy.sparse.linalg.gmres(
+        op,
+        b,
+        rtol=spectral.COLUMN_RTOL / 10.0,
+        atol=0.0,
+        restart=spectral.COLUMN_RESTART,
+        maxiter=spectral.COLUMN_MAX_CYCLES,
+    )
+    assert info == 0
+    want = apply_free_resolvent(grid, z, y.reshape(grid.shape))
+    got = resolvent_column(spec, z)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_column_through_several_restart_cycles(monkeypatch):
+    restart = 8
+    monkeypatch.setattr(spectral, "COLUMN_RESTART", restart)
+    calls = []
+
+    def counting(grid, z, values):
+        calls.append(None)
+        return apply_free_resolvent(grid, z, values)
+
+    monkeypatch.setattr(spectral, "apply_free_resolvent", counting)
+    spec = HamiltonianSpec.sample(TorusGrid(2, 16), 0.4, seed=6)
+    z = 1.0 + 0.08j
+    col = resolvent_column(spec, z, site=(5, 11))
+    assert len(calls) > 3 * restart
+    want = resolvent_dense(spec, z)[:, np.ravel_multi_index((5, 11), spec.grid.shape)]
+    assert np.max(np.abs(col - want.reshape(spec.grid.shape))) <= 1e-10
 
 
 def test_ward_check_rejects_lower_half_plane():
