@@ -6,7 +6,7 @@ Modules:
 * :mod:`qdlab.propagation` -- certified Chebyshev time evolution, spread
   trajectories, collision-operator expansions, operator-norm estimation.
 * :mod:`qdlab.spectral` -- dense diagonalization, smooth spectral cutoffs,
-  resolvent columns, Ward checks, mixed (p -> q) norms.
+  resolvent columns, Ward checks.
 * :mod:`qdlab.diffusion` -- the self-consistent spectral shift, collision
   kernels, Green-operator predictions, kernel random walks.
 * :mod:`qdlab.random_matrix` -- GOE benchmarks, Gaussian series norm

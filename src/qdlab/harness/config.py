@@ -35,7 +35,7 @@ RUN_SECTION = "run"
 class Param:
     """Declaration of one config key: location, type, default, precondition.
 
-    ``kind`` is one of int, float, str, "int_list", "float_list".  A ``None``
+    ``kind`` is one of int, float, "int_list", "float_list".  A ``None``
     default marks the key required.  ``check`` maps a parsed value to an
     error message (mentioning the constraint) or None when satisfied.
     """
@@ -87,15 +87,6 @@ def at_least(bound: int, label: str) -> Callable[[object], str | None]:
     )
 
 
-def one_of(*choices: str) -> Callable[[object], str | None]:
-    def check(v: object) -> str | None:
-        if v in choices:
-            return None
-        return f"must be one of {', '.join(choices)} (got {v!r})"
-
-    return check
-
-
 def _parse_scalar(raw: str, kind: object, name: str, errors: list[str]):
     raw = raw.strip()
     try:
@@ -107,8 +98,6 @@ def _parse_scalar(raw: str, kind: object, name: str, errors: list[str]):
                 errors.append(f"{name}: value must be finite (got {raw})")
                 return None
             return value
-        if kind is str:
-            return raw
         if kind == "int_list":
             return tuple(int(tok) for tok in raw.replace(",", " ").split())
         if kind == "float_list":
@@ -128,8 +117,6 @@ def _kind_label(kind: object) -> str:
         return "an integer"
     if kind is float:
         return "a number"
-    if kind is str:
-        return "a string"
     return "a comma-separated list of " + (
         "integers" if kind == "int_list" else "numbers"
     )
@@ -204,7 +191,7 @@ def parse_config(
                 continue
             param = section_schema[key]
             value = _parse_scalar(raw, param.kind, param.name, errors)
-            if value is None and param.kind is not str:
+            if value is None:
                 continue
             values[param.name] = value
 

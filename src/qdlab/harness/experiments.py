@@ -10,12 +10,11 @@ worker count (``QDLAB_WORKERS``) changes scheduling only, never results.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,14 +22,13 @@ import numpy as np
 
 from qdlab import __version__
 from qdlab.lattice import HamiltonianSpec, TorusGrid
-from qdlab import propagation, spectral, diffusion, random_matrix
+from qdlab import propagation, diffusion, random_matrix
 from .config import (
     ConfigError,
     ExperimentConfig,
     Param,
     at_least,
     config_hash,
-    one_of,
     parse_config,
     positive,
     nonnegative,
@@ -246,80 +244,6 @@ def _run_kinetic(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
     sink.write_table(slope, "slope.csv")
 
 
-def _run_projection(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
-    deltas = config["spectral.delta_grid"]
-    seeds = config["sampling.seeds"]
-    energy = float(config["spectral.E"])
-
-    def deviations(seed: int) -> list[float]:
-        spec = _spec_for(config, seed)
-        return [
-            spectral.projection_deviation(spec, energy, float(delta), seed=seed)
-            for delta in deltas
-        ]
-
-    with timer.stage("projection"):
-        rows = map_ordered(deviations, seeds)
-
-    table = ResultTable([("seed", ""), ("delta", "1"), ("deviation", "1")])
-    for seed, devs in zip(seeds, rows):
-        for delta, dev in zip(deltas, devs):
-            table.add_row(int(seed), float(delta), float(dev))
-    sink.write_table(table, "projection.csv")
-
-    medians = np.median(np.asarray(rows), axis=0)
-    slope = ResultTable([("slope", "1")])
-    slope.add_row(_loglog_slope(deltas, medians))
-    sink.write_table(slope, "slope.csv")
-
-
-def _run_lpq(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
-    etas = config["spectral.eta_grid"]
-    seeds = config["sampling.seeds"]
-    energy = float(config["spectral.E"])
-    p = int(config["norm.p"])
-    q_raw = config["norm.q"]
-    q = math.inf if q_raw == "inf" else float(q_raw)
-
-    table = ResultTable(
-        [("seed", ""), ("eta", "1"), ("p", ""), ("q", ""), ("value", "1"),
-         ("method", ""), ("n_sample", "")]
-    )
-    with timer.stage("norms"):
-        for seed in seeds:
-            spec = _spec_for(config, seed)
-            for eta in etas:
-                est = spectral.lpq_norm(spec, energy + 1j * float(eta), p, q)
-                table.add_row(int(seed), float(eta), p, str(q_raw), est.value,
-                              est.method, est.n_sample)
-    sink.write_table(table, "lpq.csv")
-
-
-def _run_nck(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
-    ensemble = random_matrix.GaussianSeriesEnsemble(
-        str(config["ensemble.kind"]), n=int(config["ensemble.n"])
-    )
-    with timer.stage("sample"):
-        report = random_matrix.nck_check(
-            ensemble,
-            int(config["sampling.n_samples"]),
-            alpha=float(config["ensemble.alpha"]),
-            seed=int(config["sampling.seed"]),
-        )
-    norms = ResultTable([("sample", ""), ("norm", "1")])
-    for i, value in enumerate(report.norms):
-        norms.add_row(i, float(value))
-    sink.write_table(norms, "norms.csv")
-
-    summary = ResultTable(
-        [("n", ""), ("sigma", "1"), ("threshold", "1"), ("mean_norm", "1"),
-         ("exceedance", "1")]
-    )
-    summary.add_row(report.n_dim, report.sigma, report.threshold,
-                    report.mean_norm, report.exceedance)
-    sink.write_table(summary, "summary.csv")
-
-
 def _run_tk(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
     spec = _spec_for(config, int(config["sampling.seed"]))
     s = float(config["time.s"])
@@ -341,31 +265,6 @@ def _run_tk(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
     sink.write_table(table, "tk_residuals.csv")
 
 
-def _run_goe(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
-    energies = config["spectral.E_grid"]
-    eta = float(config["spectral.eta"])
-    z_list = [float(e) + 1j * eta for e in energies]
-    with timer.stage("local-law"):
-        stats = random_matrix.goe_local_law(
-            int(config["ensemble.n"]),
-            z_list,
-            int(config["sampling.n_samples"]),
-            seed=int(config["sampling.seed"]),
-        )
-    table = ResultTable(
-        [("E", "1"), ("eta", "1"), ("im_mean", "1"), ("im_sd", "1"),
-         ("reference_im", "1"), ("density", "1"), ("quad_residual", "1"),
-         ("n_samples", "")]
-    )
-    for s in stats:
-        table.add_row(
-            s.z.real, s.z.imag, s.mean.imag,
-            float(np.std(s.samples.imag)), s.reference.imag,
-            s.semicircle_density, s.quadratic_residual, s.n_samples,
-        )
-    sink.write_table(table, "locallaw.csv")
-
-
 def _run_theta(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
     d = int(config["lattice.d"])
     lam = float(config["lattice.lambda"])
@@ -383,52 +282,6 @@ def _run_theta(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
             table.add_row(float(energy), eta, sol.theta.real, sol.theta.imag,
                           sol.residual, sol.iterations, sol.resolution)
     sink.write_table(table, "theta.csv")
-
-
-def _run_kernel(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
-    d = int(config["lattice.d"])
-    lam = float(config["lattice.lambda"])
-    point = diffusion.EnergyPoint(
-        E=float(config["spectral.E"]), eta=float(config["spectral.eta"]),
-        lam=lam, d=d,
-    )
-    grid = TorusGrid(d, int(config["lattice.L"]))
-    with timer.stage("kernel"):
-        sol = diffusion.solve_theta(point)
-        kernel = diffusion.kernel_K(point, sol.theta, grid)
-        step = diffusion.step_distribution(kernel)
-    table = ResultTable(
-        [("E", "1"), ("eta", "1"), ("lambda", "1"), ("mass", "1"),
-         ("mean_norm", "sites"), ("second_moment", "sites^2"),
-         ("fourth_moment", "sites^4"), ("sigma", "sites")]
-    )
-    table.add_row(point.E, point.eta, lam, kernel.mass,
-                  float(np.linalg.norm(kernel.mean)), kernel.second_moment,
-                  kernel.fourth_moment, step.sigma)
-    sink.write_table(table, "kernel.csv")
-
-
-def _run_tequation(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
-    kind = str(config["ensemble.kind"])
-    z = float(config["spectral.E"]) + 1j * float(config["spectral.eta"])
-    n_samples = int(config["sampling.n_samples"])
-    seed = int(config["sampling.seed"])
-    with timer.stage("residual"):
-        if kind == "goe":
-            report = random_matrix.gibp_check_goe(
-                int(config["ensemble.n"]), z, n_samples, seed=seed
-            )
-        else:
-            report = random_matrix.gibp_check_anderson(
-                _spec_for(config, seed), z, n_samples, seed=seed
-            )
-    table = ResultTable(
-        [("kind", ""), ("n_samples", ""), ("max_residual", "1"),
-         ("max_ratio", "1"), ("plugin_re", "1"), ("plugin_im", "1")]
-    )
-    table.add_row(kind, report.n_samples, report.max_abs_residual,
-                  report.max_ratio, report.plugin.real, report.plugin.imag)
-    sink.write_table(table, "tequation.csv")
 
 
 def _run_anticonc(config: ExperimentConfig, sink: OutputSink, timer: StageTimer):
@@ -533,48 +386,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             _run_kinetic,
         ),
         _def(
-            "projection",
-            "smooth spectral cutoff versus its free-lattice counterpart",
-            _lattice_params(1, 32, 0.1)
-            + [
-                Param("spectral", "E", float, 1.0),
-                Param("spectral", "delta_grid", "float_list", (8.0, 4.0),
-                      lambda v: None if all(x > 0 for x in v)
-                      else "precondition violated: delta_grid entries > 0"),
-                _seeds_param(),
-            ],
-            _run_projection,
-        ),
-        _def(
-            "lpq",
-            "mixed-norm resolvent sweep over the spectral broadening",
-            _lattice_params(1, 32, 0.2)
-            + [
-                Param("spectral", "E", float, 1.0),
-                Param("spectral", "eta_grid", "float_list", (0.5, 0.25),
-                      lambda v: None if all(x > 0 for x in v)
-                      else "precondition violated: eta_grid entries > 0"),
-                Param("norm", "p", int, 1,
-                      lambda v: None if v in (1, 2)
-                      else f"must be 1 or 2 (got {v})"),
-                Param("norm", "q", str, "6", one_of("2", "4", "6", "inf")),
-                _seeds_param(),
-            ],
-            _run_lpq,
-        ),
-        _def(
-            "nck",
-            "operator-norm concentration of Gaussian matrix series",
-            [
-                Param("ensemble", "kind", str, "diag", one_of("diag", "goe")),
-                Param("ensemble", "n", int, 64, at_least(4, "n")),
-                Param("ensemble", "alpha", float, 4.0, positive("alpha")),
-                Param("sampling", "n_samples", int, 50, positive("n_samples")),
-                Param("sampling", "seed", int, 0),
-            ],
-            _run_nck,
-        ),
-        _def(
             "tk",
             "collision-operator split: T_k(s+t) against its compositions",
             _lattice_params(1, 8, 0.5)
@@ -589,18 +400,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             _run_tk,
         ),
         _def(
-            "goe",
-            "GOE resolvent trace against the semicircle law",
-            [
-                Param("ensemble", "n", int, 200, at_least(2, "n")),
-                Param("spectral", "E_grid", "float_list", (0.0, 1.0, 3.0)),
-                Param("spectral", "eta", float, 0.2, positive("eta")),
-                Param("sampling", "n_samples", int, 5, positive("n_samples")),
-                Param("sampling", "seed", int, 0),
-            ],
-            _run_goe,
-        ),
-        _def(
             "theta",
             "self-consistent spectral shift across an energy grid",
             [
@@ -610,30 +409,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
                 Param("spectral", "eta", float, 0.1, positive("eta")),
             ],
             _run_theta,
-        ),
-        _def(
-            "kernel",
-            "collision kernel mass and moments at one spectral point",
-            _lattice_params(2, 32, 0.2)
-            + [
-                Param("spectral", "E", float, 1.0),
-                Param("spectral", "eta", float, 0.08, positive("eta")),
-            ],
-            _run_kernel,
-        ),
-        _def(
-            "tequation",
-            "integration-by-parts residual of the averaged resolvent identity",
-            _lattice_params(1, 12, 0.3)
-            + [
-                Param("ensemble", "kind", str, "goe", one_of("goe", "anderson")),
-                Param("ensemble", "n", int, 24, at_least(2, "n")),
-                Param("spectral", "E", float, 0.3),
-                Param("spectral", "eta", float, 0.3, positive("eta")),
-                Param("sampling", "n_samples", int, 2000, positive("n_samples")),
-                Param("sampling", "seed", int, 0),
-            ],
-            _run_tequation,
         ),
         _def(
             "anticonc",

@@ -1,5 +1,5 @@
-"""Spectral-side tools: diagonalization, smooth energy windows, resolvents,
-and (p, q) operator norms.
+"""Spectral-side tools: diagonalization, smooth energy windows, resolvents
+and the Ward identity.
 
 Resolvent conventions: R(z) = (H - z)^{-1} with Im z > 0 throughout, so
 Im R_xx(E + i eta) > 0 and the diagonal Green function carries the local
@@ -22,7 +22,6 @@ from .lattice import (
     circulant_from_kernel,
     dense_hamiltonian,
     momentum_grid,
-    rng_for,
 )
 from .propagation import op_norm
 
@@ -278,97 +277,3 @@ def ward_check(column: np.ndarray, z: complex, site=None) -> WardReport:
     rhs = float(column[tuple(site)].imag / eta)
     return WardReport(lhs, rhs, abs(lhs - rhs) / max(lhs, 1e-300))
 
-
-# ---------------------------------------------------------------------------
-# (p, q) operator norms
-
-SUPPORTED_PQ = ((1, 2), (2, 2), (1, 4), (2, 4), (1, 6), (2, 6), (1, math.inf))
-
-
-def _column_lq(mat: np.ndarray, q: float) -> np.ndarray:
-    a = np.abs(mat)
-    if q == math.inf:
-        return a.max(axis=0)
-    return (a**q).sum(axis=0) ** (1.0 / q)
-
-
-def matrix_lpq_norm(
-    mat: np.ndarray,
-    p: float,
-    q: float,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-    restarts: int = 4,
-    seed: int = 0,
-) -> float:
-    """||A||_{p -> q} = sup ||A x||_q / ||x||_p for the supported (p, q) pairs.
-
-    p = 1 is exact (max column l_q norm).  p = 2 uses the l_2 -> l_q power
-    method of Boyd (ascent on ||A x||_q, restarted); for q = 2 it delegates
-    to the certified top-singular-value routine.
-    """
-    if (p, q) not in SUPPORTED_PQ:
-        raise ValueError(f"unsupported (p, q) = {(p, q)}; supported: {SUPPORTED_PQ}")
-    mat = np.asarray(mat)
-    if p == 1:
-        return float(_column_lq(mat, q).max())
-    if q == 2:
-        return op_norm(mat, tol=tol, max_iter=max_iter, seed=seed)
-
-    # Boyd ascent: x <- A^H psi_q(A x), psi_q(y) = |y|^{q-1} phase(y).
-    herm = mat.conj().T
-    best = 0.0
-    for r in range(restarts):
-        rng = rng_for(seed, stream=0xB0FD + r)
-        x = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-        x /= np.linalg.norm(x)
-        prev = 0.0
-        for _ in range(max_iter):
-            y = mat @ x
-            val = float(np.sum(np.abs(y) ** q) ** (1.0 / q))
-            if val == 0.0:
-                break
-            g = herm @ (np.abs(y) ** (q - 1.0) * np.exp(1j * np.angle(y)))
-            ng = np.linalg.norm(g)
-            if ng == 0.0:
-                break
-            x = g / ng
-            if abs(val - prev) <= tol * max(val, 1e-300):
-                break
-            prev = val
-        else:
-            raise NonConvergenceError(
-                f"l2->l{q} power method did not settle in {max_iter} iterations"
-            )
-        best = max(best, val)
-    return best
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """A mixed-norm value with the method that produced it.
-
-    The method is always ``exact``: all n_sample = n columns (p = 1) or the
-    convergent power method on the dense resolvent (p = 2).
-    """
-
-    p: float
-    q: float
-    value: float
-    method: str
-    n_sample: int
-
-
-def lpq_norm(
-    spec: HamiltonianSpec,
-    z: complex,
-    p: float,
-    q: float,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> NormEstimate:
-    """Mixed (p -> q) norm of the resolvent R(z) = (H - z)^{-1}, dense regime only."""
-    if (p, q) not in SUPPORTED_PQ:
-        raise ValueError(f"unsupported (p, q) = {(p, q)}; supported: {SUPPORTED_PQ}")
-    value = matrix_lpq_norm(resolvent_dense(spec, z), p, q, tol=tol, seed=seed)
-    return NormEstimate(p=p, q=q, value=value, method="exact", n_sample=spec.grid.n_sites)

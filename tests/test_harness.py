@@ -3,11 +3,9 @@ registry runner, determinism, and the command-line interface."""
 
 import importlib
 import json
-import math
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qdlab.errors import NonConvergenceError
@@ -40,6 +38,12 @@ def test_minimal_config_parses_for_every_experiment():
         assert config.output_dir == "qdlab-results"
         digest = config_hash(config)
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+def test_shipped_configs_validate_and_cover_the_registry():
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+    configs = [load_config(p.read_text(encoding="utf-8")) for p in paths]
+    assert {c.experiment for c in configs} == set(EXPERIMENTS)
 
 
 def test_parse_serialize_round_trip():

@@ -1,7 +1,6 @@
 """Chebyshev propagator, displacement statistics, and collision operators."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -1,6 +1,4 @@
-"""Diagonalization, smooth cutoffs, resolvents, Ward identity, mixed norms."""
-
-import math
+"""Diagonalization, smooth cutoffs, resolvents, Ward identity."""
 
 import numpy as np
 import pytest
@@ -13,15 +11,11 @@ from qdlab.lattice import (
     TorusGrid,
     delta_field,
     dense_hamiltonian,
-    rng_for,
 )
 from qdlab.spectral import (
-    SUPPORTED_PQ,
     apply_free_resolvent,
     dense_diagonalize,
     free_cutoff_operator,
-    lpq_norm,
-    matrix_lpq_norm,
     projection_deviation,
     resolvent_column,
     resolvent_dense,
@@ -262,63 +256,3 @@ def test_off_origin_column_source(d, L, lam, z, site):
     want = resolvent_dense(spec, z)[:, np.ravel_multi_index(site, spec.grid.shape)]
     assert np.max(np.abs(col - want.reshape(spec.grid.shape))) <= 1e-10
 
-
-# ---------------------------------------------------------------------------
-# mixed norms
-
-
-def test_lpq_22_is_inverse_spectral_distance():
-    spec = HamiltonianSpec.sample(TorusGrid(1, 16), 0.5, seed=11)
-    z = 0.7 + 0.3j
-    eig = dense_diagonalize(spec)
-    want = 1.0 / np.min(np.abs(eig.energies - z))
-    est = lpq_norm(spec, z, 2, 2)
-    assert est.value == pytest.approx(want, rel=1e-6)
-    assert est.method == "exact" and est.n_sample == spec.grid.n_sites
-
-
-def test_lpq_12_equals_ward_formula():
-    # ||R||_{1->2} = max_x sqrt(Im R_xx / eta), by the Ward identity
-    spec = HamiltonianSpec.sample(TorusGrid(1, 24), 0.4, seed=9)
-    z = 0.3 + 0.2j
-    r = resolvent_dense(spec, z)
-    want = math.sqrt(np.max(np.diag(r).imag) / z.imag)
-    assert lpq_norm(spec, z, 1, 2).value == pytest.approx(want, rel=1e-10)
-
-
-def test_column_norm_ordering_and_interpolation():
-    spec = HamiltonianSpec.sample(TorusGrid(2, 12), 0.6, seed=12)
-    z = 1.0 + 0.15j
-    norms = {q: lpq_norm(spec, z, 1, q).value for q in (2, 4, 6, math.inf)}
-    assert norms[math.inf] <= norms[6] <= norms[4] <= norms[2]
-    # Riesz-Thorin between (1,2) and (1,6)
-    assert norms[4] <= norms[2] ** 0.25 * norms[6] ** 0.75 * (1 + 1e-12)
-
-
-def test_lpq_rejects_unsupported():
-    spec = free_spec(1, 8)
-    with pytest.raises(ValueError):
-        lpq_norm(spec, 0.5 + 0.1j, 3, 2)
-    with pytest.raises(ValueError):
-        matrix_lpq_norm(np.eye(4), 2, 3)
-    assert (1, 4) in SUPPORTED_PQ
-
-
-def test_matrix_lpq_oracle_small():
-    rng = rng_for(2, stream=7)
-    a = rng.standard_normal((6, 6))
-    # brute force ||A||_{1->q} = max column norm
-    want = np.max(np.sum(np.abs(a) ** 4, axis=0) ** 0.25)
-    assert matrix_lpq_norm(a, 1, 4) == pytest.approx(want, rel=1e-12)
-    assert matrix_lpq_norm(a, 2, 2) == pytest.approx(
-        np.linalg.norm(a, 2), rel=1e-6
-    )
-
-
-def test_boyd_ascent_against_grid_search():
-    # l2 -> l4 norm of a 2x2 matrix, brute-forced over the unit circle
-    a = np.array([[1.0, 0.4], [-0.3, 2.0]])
-    angles = np.linspace(0, 2 * np.pi, 20001)
-    xs = np.stack([np.cos(angles), np.sin(angles)])
-    want = np.max(np.sum(np.abs(a @ xs) ** 4, axis=0) ** 0.25)
-    assert matrix_lpq_norm(a, 2, 4, tol=1e-10) == pytest.approx(want, rel=1e-6)
