@@ -31,6 +31,21 @@ from .lattice import (
 from .spectral import resolvent_column
 
 MAX_MOMENTUM_RESOLUTION = 1 << 15
+# F(z) has settled once two successive resolution doublings agree to this.
+F_DOUBLING_TOL = 1e-8
+# Damping, residual target and iteration budget of the theta fixed point.
+THETA_DAMPING = 0.5
+THETA_TOL = 1e-12
+THETA_MAX_ITER = 500
+# Sup-norm bound on the discarded tail of the Green-operator Neumann series.
+GREEN_TOL = 1e-10
+# Trials per walk chunk.  Chunk k draws from its own random stream k, so this
+# also fixes which draws every trial gets.
+WALK_CHUNK = 16384
+# Bound on the discarded tail of neumann_walk_sum's series.
+WALK_TAIL_TOL = 1e-12
+# Two-sided 95% normal quantile of the Wilson interval.
+_WILSON_Z = 1.959963984540054
 
 
 def _centered_axis_coordinate(grid: TorusGrid) -> np.ndarray:
@@ -106,29 +121,20 @@ def _momentum_mean(z: complex, d: int, m: int) -> complex:
     return complex(-acc / lead.size)
 
 
-def F_eval(
-    z: complex,
-    d: int,
-    resolution: int | None = None,
-    doubling_tol: float = 1e-8,
-) -> complex:
+def F_eval(z: complex, d: int) -> complex:
     """Normalized momentum sum F(z) = M^{-d} sum_xi 1/(omega(xi) - z).
 
     The resolution doubles (starting from max(64, 8/|Im z|) rounded to even)
-    until two successive evaluations agree to doubling_tol; failure to settle
-    below MAX_MOMENTUM_RESOLUTION raises NonConvergenceError.
+    until two successive evaluations agree to F_DOUBLING_TOL; failure to
+    settle below MAX_MOMENTUM_RESOLUTION raises NonConvergenceError.
     """
     if z.imag == 0.0:
         raise ValueError("F_eval requires Im z != 0")
-    if resolution is not None:
-        if resolution < 2:
-            raise ValueError("resolution must be at least 2")
-        return _momentum_mean(z, d, resolution + resolution % 2)
-    return _momentum_mean(z, d, _f_resolution_for(z, d, doubling_tol))
+    return _f_settled(z, d)[1]
 
 
-def _f_resolution_for(z: complex, d: int, doubling_tol: float = 1e-8) -> int:
-    """Resolution at which the doubling test for F(z) passes."""
+def _f_settled(z: complex, d: int) -> tuple[int, complex]:
+    """(M, F(z) at M) for the resolution M at which the doubling test passes."""
     m = max(64, 8 * int(math.ceil(1.0 / abs(z.imag))))
     m += m % 2
     if m > MAX_MOMENTUM_RESOLUTION:
@@ -140,12 +146,12 @@ def _f_resolution_for(z: complex, d: int, doubling_tol: float = 1e-8) -> int:
     while m <= MAX_MOMENTUM_RESOLUTION:
         m *= 2
         cur = _momentum_mean(z, d, m)
-        if abs(cur - prev) <= doubling_tol:
-            return m
+        if abs(cur - prev) <= F_DOUBLING_TOL:
+            return m, cur
         prev = cur
     raise NonConvergenceError(
         f"momentum sum for F({z}) in dimension {d} did not settle to "
-        f"{doubling_tol} by resolution {MAX_MOMENTUM_RESOLUTION}"
+        f"{F_DOUBLING_TOL} by resolution {MAX_MOMENTUM_RESOLUTION}"
     )
 
 
@@ -159,37 +165,33 @@ class ThetaSolution:
     resolution: int
 
 
-def solve_theta(
-    point: EnergyPoint,
-    resolution: int | None = None,
-    gamma: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 500,
-) -> ThetaSolution:
-    """Damped fixed point theta <- (1-gamma) theta + gamma F(z + lam^2 theta).
+def solve_theta(point: EnergyPoint, resolution: int | None = None) -> ThetaSolution:
+    """Damped fixed point theta <- (1-g) theta + g F(z + lam^2 theta), g = THETA_DAMPING.
 
     Starts at theta = F(z).  The momentum resolution is fixed up front (the
     effective imaginary part only grows along the iteration, so a resolution
     converged at z stays converged), and the residual is measured at it.
+    Without ``resolution`` it is the one at which F(z) settles.
     """
     z = point.z
     lam2 = point.lam**2
     if resolution is None:
-        resolution = _f_resolution_for(z, point.d)
-    theta = _momentum_mean(z, point.d, resolution)
+        resolution, theta = _f_settled(z, point.d)
+    else:
+        theta = _momentum_mean(z, point.d, resolution)
     residual = math.inf
-    for iteration in range(max_iter + 1):
+    for iteration in range(THETA_MAX_ITER + 1):
         fnext = _momentum_mean(z + lam2 * theta, point.d, resolution)
         residual = abs(theta - fnext)
-        if residual <= tol:
+        if residual <= THETA_TOL:
             if theta.imag <= 0.0:
                 raise NonConvergenceError(
                     f"Im theta = {theta.imag:.3e} <= 0 at z={z}: resolution failure"
                 )
             return ThetaSolution(theta, residual, iteration, resolution)
-        theta = (1.0 - gamma) * theta + gamma * fnext
+        theta = (1.0 - THETA_DAMPING) * theta + THETA_DAMPING * fnext
     raise NonConvergenceError(
-        f"theta iteration stalled at residual {residual:.3e} after {max_iter} steps"
+        f"theta iteration stalled at residual {residual:.3e} after {THETA_MAX_ITER} steps"
     )
 
 
@@ -234,11 +236,11 @@ def kernel_K(point: EnergyPoint, theta: complex, grid: TorusGrid) -> KernelField
     return KernelField(grid, point.lam, values, mass, mean, second, fourth)
 
 
-def green_apply(kernel: KernelField, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def green_apply(kernel: KernelField, f: np.ndarray) -> np.ndarray:
     """(Id - lam^2 K)^{-1} f by the Neumann series, convolving with FFTs.
 
-    Terms are added until the latest one is below tol * (1 - mass) in sup
-    norm, which bounds the discarded tail by tol.  Since
+    Terms are added until the latest one is below GREEN_TOL * (1 - mass) in
+    sup norm, which bounds the discarded tail by GREEN_TOL.  Since
     ||lam^2 K * g||_inf <= mass ||g||_inf, the j-th term is at most
     mass^j ||f||_inf; one term past the count this implies, the series
     raises NonConvergenceError.
@@ -250,7 +252,7 @@ def green_apply(kernel: KernelField, f: np.ndarray, tol: float = 1e-10) -> np.nd
         raise ValueError(f"field shape {f.shape} does not match grid {kernel.grid.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("green_apply needs a finite field")
-    target = tol * (1.0 - kernel.mass)
+    target = GREEN_TOL * (1.0 - kernel.mass)
     size = float(np.max(np.abs(f)))
     max_terms = 1
     if kernel.mass > 0.0 and size > target:
@@ -279,19 +281,18 @@ def predict_observable(
     point: EnergyPoint,
     theta: complex,
     f: np.ndarray,
-    grid: TorusGrid | None = None,
     kernel: KernelField | None = None,
-    tol: float = 1e-10,
 ) -> np.ndarray:
-    """Deterministic prediction (Id - lam^2 K)^{-1}(Ktilde * f) of sum_x f |R_.x|^2."""
+    """Deterministic prediction (Id - lam^2 K)^{-1}(Ktilde * f) of sum_x f |R_.x|^2.
+
+    Without ``kernel`` it is built on the torus grid of f's shape.
+    """
     f = np.asarray(f, dtype=float)
     if kernel is None:
-        if grid is None:
-            if f.ndim != point.d:
-                raise ValueError("f must have one axis per dimension")
-            grid = TorusGrid(point.d, f.shape[0])
-        kernel = kernel_K(point, theta, grid)
-    return green_apply(kernel, convolve_kernel(kernel, f), tol=tol)
+        if f.ndim != point.d:
+            raise ValueError("f must have one axis per dimension")
+        kernel = kernel_K(point, theta, TorusGrid(point.d, f.shape[0]))
+    return green_apply(kernel, convolve_kernel(kernel, f))
 
 
 @dataclass
@@ -320,35 +321,30 @@ def measure_observable(
     f: np.ndarray,
     seeds,
     keep_columns: bool = False,
-    columns: list[np.ndarray] | None = None,
 ) -> ObservableSample:
     """Sample O[f] over disorder seeds from origin resolvent columns.
 
-    Precomputed columns (matching the seed list) can be passed in to share
-    the linear solves with other per-seed diagnostics.
+    With ``keep_columns`` the columns are returned too, so other per-seed
+    diagnostics (`deloc_check`) can share the linear solves.
     """
     seeds = tuple(int(s) for s in seeds)
     f = np.asarray(f, dtype=float)
     vals = np.empty(len(seeds))
     imr = np.empty(len(seeds))
-    kept: list[np.ndarray] | None = [] if (keep_columns and columns is None) else None
+    kept: list[np.ndarray] | None = [] if keep_columns else None
     for i, seed in enumerate(seeds):
-        if columns is not None:
-            col = columns[i]
-        else:
-            col = resolvent_column(HamiltonianSpec.sample(grid, lam, seed), z)
-            if kept is not None:
-                kept.append(col)
+        col = resolvent_column(HamiltonianSpec.sample(grid, lam, seed), z)
+        if kept is not None:
+            kept.append(col)
         density = col.real**2 + col.imag**2
         vals[i] = float(np.sum(f * density))
         imr[i] = float(col[(0,) * grid.d].imag)
-    out_cols = columns if columns is not None else kept
-    return ObservableSample(seeds, vals, imr, out_cols)
+    return ObservableSample(seeds, vals, imr, kept)
 
 
-def ball_indicator(grid: TorusGrid, radius: float, center=None) -> np.ndarray:
-    """Indicator of the minimal-image Euclidean ball |x - center| <= radius."""
-    return (distance_sq_grid(grid, center) <= radius**2).astype(float)
+def ball_indicator(grid: TorusGrid, radius: float) -> np.ndarray:
+    """Indicator of the minimal-image Euclidean ball |x| <= radius."""
+    return (distance_sq_grid(grid) <= radius**2).astype(float)
 
 
 @dataclass(frozen=True)
@@ -464,11 +460,12 @@ class ProbabilityEstimate:
     n_trials: int
 
 
-def _wilson(hits: int, n: int, zconf: float = 1.959963984540054) -> tuple[float, float]:
+def _wilson(hits: int, n: int) -> tuple[float, float]:
+    z2 = _WILSON_Z**2
     phat = hits / n
-    denom = 1.0 + zconf**2 / n
-    center = (phat + zconf**2 / (2 * n)) / denom
-    half = zconf * math.sqrt(phat * (1 - phat) / n + zconf**2 / (4 * n**2)) / denom
+    denom = 1.0 + z2 / n
+    center = (phat + z2 / (2 * n)) / denom
+    half = _WILSON_Z * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n**2)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -486,7 +483,6 @@ def walk_positions(
     n_trials: int,
     seed: int,
     wrap: bool = False,
-    chunk: int = 16384,
 ) -> dict[int, np.ndarray]:
     """Positions Y_N of the i.i.d.-step walk at each checkpoint N, all trials.
 
@@ -502,7 +498,7 @@ def walk_positions(
     done = 0
     stream = 0
     while done < n_trials:
-        size = min(chunk, n_trials - done)
+        size = min(WALK_CHUNK, n_trials - done)
         rng = rng_for(seed, stream=0x3A1C + stream)
         pos = np.zeros((size, d), dtype=np.int64)
         prev = 0
@@ -529,15 +525,10 @@ def anticoncentration_mc(
     r: float,
     n_trials: int,
     seed: int = 0,
-    wrap: bool = False,
 ) -> ProbabilityEstimate:
-    """Monte-Carlo P(|Y_N - y| <= r) for the kernel-driven walk."""
+    """Monte-Carlo P(|Y_N - y| <= r) for the unwrapped kernel-driven walk."""
     y = np.asarray(y, dtype=np.int64)
-    pos = walk_positions(step, [n_steps], n_trials, seed, wrap=wrap)[n_steps]
-    delta = pos - y[None, :]
-    if wrap:
-        half = step.L // 2
-        delta = (delta + half) % step.L - half
+    delta = walk_positions(step, [n_steps], n_trials, seed)[n_steps] - y[None, :]
     hits = int(np.count_nonzero(np.sum(delta.astype(float) ** 2, axis=1) <= r**2))
     lo, hi = _wilson(hits, n_trials)
     return ProbabilityEstimate(hits / n_trials, lo, hi, hits, n_trials)
@@ -548,7 +539,6 @@ def neumann_walk_sum(
     r: float,
     n_trials: int = 100_000,
     seed: int = 0,
-    tail_tol: float = 1e-12,
 ) -> tuple[float, float, float]:
     """lam^{-2} sum_j (1-alpha)^j P(|Y_j| <= r) for the torus-wrapped walk.
 
@@ -559,7 +549,7 @@ def neumann_walk_sum(
     decay = kernel.mass
     alpha = 1.0 - decay
     lam2 = kernel.lam**2
-    j_max = max(4, int(math.ceil(math.log(tail_tol * alpha * lam2) / math.log(decay))))
+    j_max = max(4, int(math.ceil(math.log(WALK_TAIL_TOL * alpha * lam2) / math.log(decay))))
     step = step_distribution(kernel)
     positions = walk_positions(step, range(1, j_max + 1), n_trials, seed, wrap=True)
     per_trial = np.zeros(n_trials)

@@ -214,8 +214,6 @@ def parse_config(
 
 
 def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, tuple):

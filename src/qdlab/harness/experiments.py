@@ -111,7 +111,7 @@ class RunManifest:
 class ExperimentDef:
     name: str
     description: str
-    params: tuple[Param, ...]
+    params: Sequence[Param]
     runner: Callable[[ExperimentConfig, OutputSink, StageTimer], None]
 
 
@@ -142,12 +142,12 @@ def _lattice_params(d: int, L: int, lam: float) -> list[Param]:
     ]
 
 
-def _seeds_param(default=(0, 1)) -> Param:
+def _seeds_param() -> Param:
     return Param(
         "sampling",
         "seeds",
         "int_list",
-        tuple(default),
+        (0, 1),
         lambda v: None if len(v) > 0 else "precondition violated: seeds non-empty",
     )
 
@@ -354,14 +354,10 @@ def _run_inequalities(config: ExperimentConfig, sink: OutputSink, timer: StageTi
 # ---------------------------------------------------------------------------
 
 
-def _def(name, description, params, runner) -> ExperimentDef:
-    return ExperimentDef(name, description, tuple(params), runner)
-
-
 EXPERIMENTS: dict[str, ExperimentDef] = {
     e.name: e
     for e in [
-        _def(
+        ExperimentDef(
             "figure1",
             "spread radius of an initially localized state, with power-law fit",
             _lattice_params(2, 32, 0.2)
@@ -373,7 +369,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             ],
             _run_figure1,
         ),
-        _def(
+        ExperimentDef(
             "kinetic",
             "operator-norm deviation of the disordered from the free propagator",
             _lattice_params(2, 16, 0.1)
@@ -385,7 +381,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             ],
             _run_kinetic,
         ),
-        _def(
+        ExperimentDef(
             "tk",
             "collision-operator split: T_k(s+t) against its compositions",
             _lattice_params(1, 8, 0.5)
@@ -399,7 +395,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             ],
             _run_tk,
         ),
-        _def(
+        ExperimentDef(
             "theta",
             "self-consistent spectral shift across an energy grid",
             [
@@ -410,7 +406,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             ],
             _run_theta,
         ),
-        _def(
+        ExperimentDef(
             "anticonc",
             "kernel-walk anticoncentration probability versus step count",
             _lattice_params(2, 32, 0.2)
@@ -425,7 +421,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             ],
             _run_anticonc,
         ),
-        _def(
+        ExperimentDef(
             "deloc",
             "resolvent mass outside the kinetic radius, per seed",
             _lattice_params(2, 32, 0.25)
@@ -437,7 +433,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             ],
             _run_deloc,
         ),
-        _def(
+        ExperimentDef(
             "inequalities",
             "randomized trace/Jensen/Hoelder inequality sweep",
             [

@@ -20,15 +20,10 @@ FLAG_COLUMN = "flag"
 
 @dataclass
 class ResultTable:
-    """Rows under a fixed (name, unit) column schema.
-
-    ``provenance`` free-form strings (seed list, config hash) are emitted as
-    leading comment lines so data rows stay machine-parseable.
-    """
+    """Rows under a fixed (name, unit) column schema."""
 
     columns: Sequence[tuple[str, str]]
     rows: list[tuple] = field(default_factory=list)
-    provenance: Sequence[str] = ()
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -50,14 +45,7 @@ class ResultTable:
 
 
 def _render_cell(value: object) -> str:
-    if isinstance(value, bool):
-        text = str(value)
-    elif isinstance(value, float):
-        text = f"{value:.17g}"
-    elif isinstance(value, int):
-        text = str(value)
-    else:
-        text = str(value)
+    text = f"{value:.17g}" if isinstance(value, float) else str(value)
     if any(ch in text for ch in ',"\n\r'):
         text = '"' + text.replace('"', '""') + '"'
     return text
@@ -84,8 +72,7 @@ def emit_table(table: ResultTable, path) -> None:
         _render_cell(f"{name} ({unit})" if unit else name)
         for name, unit in table.columns
     )
-    lines = [f"# {note}" for note in table.provenance]
-    lines.append(header)
+    lines = [header]
     for row in table.rows:
         lines.append(",".join(_render_cell(v) for v in row))
     try:

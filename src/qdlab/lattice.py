@@ -75,13 +75,9 @@ def separable_sum(lines) -> np.ndarray:
     return out
 
 
-def distance_sq_grid(grid: TorusGrid, origin=None) -> np.ndarray:
-    """|x - origin|^2 with minimal-image distance, as an array over the grid."""
-    if origin is None:
-        origin = (0,) * grid.d
-    return separable_sum(
-        [minimal_image(grid, np.arange(grid.L) - int(o)).astype(float) ** 2 for o in origin]
-    )
+def distance_sq_grid(grid: TorusGrid) -> np.ndarray:
+    """|x|^2 with minimal-image distance from the origin, as an array over the grid."""
+    return separable_sum([minimal_image(grid, np.arange(grid.L)).astype(float) ** 2] * grid.d)
 
 
 def displacement_vectors(grid: TorusGrid) -> np.ndarray:
@@ -114,12 +110,10 @@ class ComplexField:
         return ComplexField(self.grid, self.values.copy())
 
 
-def delta_field(grid: TorusGrid, site=None) -> ComplexField:
-    """Unit mass at one site (default: the origin)."""
+def delta_field(grid: TorusGrid) -> ComplexField:
+    """Unit mass at the origin."""
     values = np.zeros(grid.shape, dtype=np.complex128)
-    if site is None:
-        site = (0,) * grid.d
-    values[tuple(int(c) % grid.L for c in site)] = 1.0
+    values[(0,) * grid.d] = 1.0
     return ComplexField(grid, values)
 
 
@@ -135,18 +129,17 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DisorderField:
-    """I.i.d. standard-Gaussian site potential, reproducible from (seed, stream)."""
+    """I.i.d. standard-Gaussian site potential on a grid."""
 
     grid: TorusGrid
-    seed: int
-    stream: int
     values: np.ndarray
 
 
-def sample_disorder(grid: TorusGrid, seed: int, stream: int = 0) -> DisorderField:
-    values = rng_for(seed, stream).standard_normal(grid.shape)
+def sample_disorder(grid: TorusGrid, seed: int) -> DisorderField:
+    """The disorder of ``seed``: stream 0 of its counter-based generator."""
+    values = rng_for(seed).standard_normal(grid.shape)
     values.flags.writeable = False
-    return DisorderField(grid, seed, stream, values)
+    return DisorderField(grid, values)
 
 
 @dataclass(frozen=True)
@@ -164,8 +157,8 @@ class HamiltonianSpec:
             raise ValueError("disorder field lives on a different grid")
 
     @classmethod
-    def sample(cls, grid: TorusGrid, lam: float, seed: int, stream: int = 0) -> "HamiltonianSpec":
-        return cls(grid, lam, sample_disorder(grid, seed, stream))
+    def sample(cls, grid: TorusGrid, lam: float, seed: int) -> "HamiltonianSpec":
+        return cls(grid, lam, sample_disorder(grid, seed))
 
     @cached_property
     def potential(self) -> np.ndarray:
@@ -228,15 +221,11 @@ def hamiltonian_product(spec: HamiltonianSpec, values: np.ndarray, out: np.ndarr
     return out
 
 
-def apply_hamiltonian(
-    spec: HamiltonianSpec, field: ComplexField, out: np.ndarray | None = None
-) -> ComplexField:
-    """H psi; with ``out`` (a complex grid-shaped array not sharing memory with
-    the field) the result is written there and the returned field wraps it."""
+def apply_hamiltonian(spec: HamiltonianSpec, field: ComplexField) -> ComplexField:
+    """H psi, as a new field."""
     if field.grid != spec.grid:
         raise ValueError("field grid does not match Hamiltonian grid")
-    if out is None:
-        out = np.empty_like(field.values)
+    out = np.empty_like(field.values)
     return ComplexField(spec.grid, hamiltonian_product(spec, field.values, out))
 
 

@@ -37,6 +37,10 @@ from .lattice import (
 )
 
 
+# Largest Chebyshev order any evolution may plan.
+MAX_ORDER = 500_000
+
+
 class WraparoundWarning(UserWarning):
     """The wave packet has spread past a quarter of the torus."""
 
@@ -92,7 +96,7 @@ def _bessel_tail_order(tau: float, tol: float) -> int:
 
 
 def plan_evolution(
-    spec: HamiltonianSpec, t: float, tol: float = 1e-8, max_order: int = 500_000
+    spec: HamiltonianSpec, t: float, tol: float = 1e-8, max_order: int = MAX_ORDER
 ) -> ChebyshevPlan:
     """Choose the expansion interval and certified order for exp(-i t H).
 
@@ -175,7 +179,7 @@ def evolve(
     field: ComplexField,
     t: float,
     tol: float = 1e-8,
-    max_order: int = 500_000,
+    max_order: int = MAX_ORDER,
 ) -> ComplexField:
     """psi -> exp(-i t H) psi.  Signed t is accepted (negative t = adjoint)."""
     if field.grid != spec.grid:
@@ -193,10 +197,10 @@ def _spread(weights: np.ndarray, density: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(weights, density)) / total, total
 
 
-def msd(field: ComplexField, origin=None) -> float:
+def msd(field: ComplexField) -> float:
     """Mean-square displacement sum |x|^2 |psi(x)|^2 / ||psi||^2, minimal-image."""
     density = field.values.real**2 + field.values.imag**2
-    return _spread(distance_sq_grid(field.grid, origin), density)[0]
+    return _spread(distance_sq_grid(field.grid), density)[0]
 
 
 @dataclass
@@ -214,22 +218,16 @@ class TrajectoryRecord:
 
 
 def run_trajectory(
-    spec: HamiltonianSpec,
-    times,
-    psi0: ComplexField | None = None,
-    tol: float = 1e-8,
-    seed: int = -1,
-    max_order: int = 500_000,
+    spec: HamiltonianSpec, times, tol: float = 1e-8, seed: int = -1
 ) -> TrajectoryRecord:
-    """Evolve (default: from a point mass at the origin) and sample r^2(t).
+    """Evolve a point mass at the origin and sample r^2(t).
 
     Every sample time is read off one Chebyshev recursion from t = 0, each
     certified to ``tol`` on its own (errors do not add up over the times),
-    with the order of the largest time checked against ``max_order`` before
-    any step.  The recursion runs in the start's dtype, real for the default
-    point mass, and holds 3 + 2 * len(times) fields of that dtype.  A
-    WraparoundWarning fires once if r(t) exceeds L/4, where the
-    minimal-image r^2 starts to saturate.
+    with the order of the largest time checked against MAX_ORDER before any
+    step.  The recursion runs in real arithmetic and holds 3 + 2 * len(times)
+    real fields.  A WraparoundWarning fires once if r(t) exceeds L/4, where
+    the minimal-image r^2 starts to saturate.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -237,25 +235,16 @@ def run_trajectory(
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and non-negative")
     grid = spec.grid
-    if psi0 is None:
-        start = np.zeros(grid.shape)
-        start[(0,) * grid.d] = 1.0
-    elif psi0.grid != grid:
-        raise ValueError(f"psi0 lives on {psi0.grid}, the Hamiltonian on {grid}")
-    else:
-        start = psi0.values.copy()
+    start = np.zeros(grid.shape)
+    start[(0,) * grid.d] = 1.0
 
     weights = distance_sq_grid(grid)
     msds = np.empty(times.size)
     masses = np.empty(times.size)
-    for j, even, odd in _chebyshev(spec, start, times, tol, max_order):
-        # |even + i odd|^2, in the accumulators' own memory when they are real.
-        if np.iscomplexobj(even):
-            even += 1j * odd
-            density = even.real**2 + even.imag**2
-        else:
-            density = np.square(even, out=even)
-            density += np.square(odd, out=odd)
+    for j, even, odd in _chebyshev(spec, start, times, tol, MAX_ORDER):
+        # |even + i odd|^2, in the accumulators' own memory.
+        density = np.square(even, out=even)
+        density += np.square(odd, out=odd)
         msds[j], masses[j] = _spread(weights, density)
     far = np.nonzero(np.sqrt(msds) > grid.L / 4.0)[0]
     if far.size:
@@ -424,16 +413,12 @@ def dyson_Tk(spec: HamiltonianSpec, k: int, t: float, n_quad: int = 24) -> np.nd
 
 
 def propagator_deviation(
-    spec: HamiltonianSpec,
-    t: float,
-    tol: float = 1e-3,
-    chebyshev_tol: float = 1e-8,
-    seed: int = 0,
-    max_iter: int = 1000,
+    spec: HamiltonianSpec, t: float, tol: float = 1e-3, seed: int = 0
 ) -> float:
-    """|| exp(-itH) - exp(-itA) || via matrix-free Lanczos iteration.
+    """|| exp(-itH) - exp(-itA) || via matrix-free Lanczos iteration to ``tol``.
 
-    Zero coupling or zero time short-circuits to 0 (the operators coincide
+    Both propagators are applied at `evolve`'s default tolerance.  Zero
+    coupling or zero time short-circuits to 0 (the operators coincide
     exactly, not merely to propagator tolerance).
     """
     if spec.lam == 0.0 or t == 0.0:
@@ -443,7 +428,7 @@ def propagator_deviation(
 
     def diff(v: np.ndarray, sign: float) -> np.ndarray:
         f = ComplexField(grid, v.reshape(grid.shape))
-        full = evolve(spec, f, sign * t, tol=chebyshev_tol).values
+        full = evolve(spec, f, sign * t).values
         free = free_propagate(f, sign * t).values
         return (full - free).ravel()
 
@@ -453,4 +438,4 @@ def propagator_deviation(
         rmatvec=lambda v: diff(v, -1.0),
         dtype=np.complex128,
     )
-    return op_norm(op, tol=tol, max_iter=max_iter, seed=seed)
+    return op_norm(op, tol=tol, seed=seed)

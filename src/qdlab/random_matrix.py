@@ -120,7 +120,7 @@ class LocalLawStats:
 
 def goe_local_law(
     n: int,
-    z_values: complex | Sequence[complex],
+    z_values: Sequence[complex],
     n_samples: int,
     seed: int = 0,
 ) -> list[LocalLawStats]:
@@ -131,10 +131,7 @@ def goe_local_law(
     (eta < 4 n^{-1/4}) is allowed but flagged with a warning, since the
     normalized trace then fluctuates beyond the law's guarantee.
     """
-    if np.isscalar(z_values) or isinstance(z_values, complex):
-        z_list = [complex(z_values)]  # type: ignore[arg-type]
-    else:
-        z_list = [complex(z) for z in z_values]
+    z_list = [complex(z) for z in z_values]
     if n_samples < 1:
         raise ValueError("need at least one sample")
     eta_floor = 4.0 * n ** (-0.25)
@@ -288,6 +285,12 @@ def nck_check(
 # ---------------------------------------------------------------------------
 
 
+# Relative margin above which matrix_inequality_suite counts a violation, and
+# the exponents p of its trace-power and Hoelder checks.
+INEQUALITY_SLACK = 1e-10
+INEQUALITY_P_VALUES = (2, 3, 4)
+
+
 @dataclass(frozen=True)
 class InequalityReport:
     """Outcome of a randomized inequality sweep.
@@ -311,30 +314,23 @@ def _record(
     label: str,
     lhs: float,
     rhs: float,
-    slack: float,
     violations: dict[str, int],
     worst: dict[str, float],
 ) -> None:
     scale = max(abs(lhs), abs(rhs), 1.0)
     margin = (lhs - rhs) / scale
     worst[label] = max(worst.get(label, -math.inf), margin)
-    if margin > slack:
+    if margin > INEQUALITY_SLACK:
         violations[label] = violations.get(label, 0) + 1
 
 
-def matrix_inequality_suite(
-    n: int,
-    n_trials: int,
-    seed: int = 0,
-    slack: float = 1e-10,
-    p_values: Sequence[int] = (2, 3, 4),
-) -> InequalityReport:
+def matrix_inequality_suite(n: int, n_trials: int, seed: int = 0) -> InequalityReport:
     """Check trace, Jensen, and Hoelder inequalities on random symmetric pairs.
 
     Per trial, with A and B independent GOE samples:
 
     * tr(A B^{2p-2-l} A B^l) <= tr(A^2 B^{2p-2}) for every intermediate power
-      0 <= l <= 2p-2 and each p in ``p_values``;
+      0 <= l <= 2p-2 and each p in INEQUALITY_P_VALUES;
     * sum_j phi(A_jj) <= tr phi(A) for phi in {x^2, x^4, exp};
     * tr(AB) <= (tr |A|^p)^{1/p} (tr |B|^p')^{1/p'} with 1/p + 1/p' = 1,
       for the same p values.
@@ -350,7 +346,7 @@ def matrix_inequality_suite(
         evals_b, q_b = np.linalg.eigh(b)
         a_rot = q_b.T @ a @ q_b  # A in B's eigenbasis
 
-        for p in p_values:
+        for p in INEQUALITY_P_VALUES:
             total = 2 * p - 2
             powers = evals_b[:, None] ** np.arange(total + 1)[None, :]
             # tr(A B^{total-l} A B^l) = sum_{ij} A_ij^2 mu_i^{total-l} mu_j^l
@@ -366,7 +362,7 @@ def matrix_inequality_suite(
                         powers[:, ell],
                     )
                 )
-                _record(f"{rhs_label} l={ell}", lhs, rhs, slack, violations, worst)
+                _record(f"{rhs_label} l={ell}", lhs, rhs, violations, worst)
 
         diag_a = np.diag(a)
         evals_a = np.linalg.eigvalsh(a)
@@ -379,7 +375,6 @@ def matrix_inequality_suite(
                 label,
                 float(np.sum(phi(diag_a))),
                 float(np.sum(phi(evals_a))),
-                slack,
                 violations,
                 worst,
             )
@@ -387,15 +382,15 @@ def matrix_inequality_suite(
         abs_a = np.abs(evals_a)
         abs_b = np.abs(evals_b)
         lhs = float(np.trace(a @ b))
-        for p in p_values:
+        for p in INEQUALITY_P_VALUES:
             conj = p / (p - 1.0)
             rhs = float(np.sum(abs_a**p)) ** (1.0 / p) * float(
                 np.sum(abs_b**conj)
             ) ** (1.0 / conj)
-            _record(f"hoelder p={p}", lhs, rhs, slack, violations, worst)
+            _record(f"hoelder p={p}", lhs, rhs, violations, worst)
 
     return InequalityReport(
-        n_trials=n_trials, slack=slack, violations=violations, worst_margin=worst
+        n_trials=n_trials, slack=INEQUALITY_SLACK, violations=violations, worst_margin=worst
     )
 
 
@@ -440,13 +435,15 @@ def _auto_chunk(requested: int, n: int) -> int:
     return max(1, min(requested, (1 << 22) // (n * n) + 1))
 
 
-def gibp_check_goe(
-    n: int,
-    z: complex,
-    n_samples: int,
-    seed: int = 0,
-    chunk: int = 1024,
-) -> GIBPReport:
+# Samples per batch of each check, before _auto_chunk's memory cap.  The
+# batching fixes the order of the random draws and sums, so these fix the
+# reported values.
+GIBP_CHUNK = 1024
+CROSSING_GOE_CHUNK = 8192
+CROSSING_ANDERSON_CHUNK = 4096
+
+
+def gibp_check_goe(n: int, z: complex, n_samples: int, seed: int = 0) -> GIBPReport:
     """Residual of the GOE resolvent identity Id + z E[R] + E[A[R] R] = 0.
 
     A is the GOE covariance map, so the per-sample statistic
@@ -469,7 +466,7 @@ def gibp_check_goe(
         )
     ident = np.eye(n)
     rng = rng_for(seed, 0x61B)
-    chunk = _auto_chunk(chunk, n)
+    chunk = _auto_chunk(GIBP_CHUNK, n)
     total = np.zeros((n, n), dtype=complex)
     total_sq = np.zeros((n, n))
     trace_sum = 0.0 + 0.0j
@@ -494,11 +491,7 @@ def gibp_check_goe(
 
 
 def gibp_check_anderson(
-    spec_template: HamiltonianSpec,
-    z: complex,
-    n_samples: int,
-    seed: int = 0,
-    chunk: int = 1024,
+    spec_template: HamiltonianSpec, z: complex, n_samples: int, seed: int = 0
 ) -> GIBPReport:
     """Residual of the disorder-averaged lattice resolvent identity.
 
@@ -529,7 +522,7 @@ def gibp_check_anderson(
         )
     adj = dense_adjacency(grid)
     ident = np.eye(n)
-    chunk = _auto_chunk(chunk, n)
+    chunk = _auto_chunk(GIBP_CHUNK, n)
     disorder = rng_for(seed, 0x61C).standard_normal((n_samples, n))
 
     def resolvent_chunk(start: int, count: int) -> np.ndarray:
@@ -702,7 +695,6 @@ def crossing_check_goe(
     n_samples: int,
     n_nodes: int = 8,
     seed: int = 0,
-    chunk: int = 8192,
 ) -> CrossingReport:
     """Crossing-term comparison for the GOE coefficient family.
 
@@ -741,7 +733,8 @@ def crossing_check_goe(
         return (np.swapaxes(b, 1, 2) + tr * np.eye(n)) / n
 
     return _crossing_core(
-        draw_pair, contraction, cov_apply, None, z, n_samples, n_nodes, seed, chunk
+        draw_pair, contraction, cov_apply, None, z, n_samples, n_nodes, seed,
+        CROSSING_GOE_CHUNK,
     )
 
 
@@ -751,7 +744,6 @@ def crossing_check_anderson(
     n_samples: int,
     n_nodes: int = 8,
     seed: int = 0,
-    chunk: int = 4096,
 ) -> CrossingReport:
     """Crossing-term comparison for lattice site disorder A_x = lam |x><x|.
 
@@ -786,7 +778,8 @@ def crossing_check_anderson(
         return (lam * lam) * out
 
     return _crossing_core(
-        draw_pair, contraction, cov_apply, adj, z, n_samples, n_nodes, seed, chunk
+        draw_pair, contraction, cov_apply, adj, z, n_samples, n_nodes, seed,
+        CROSSING_ANDERSON_CHUNK,
     )
 
 

@@ -95,30 +95,32 @@ def free_cutoff_operator(grid: TorusGrid, energy: float, width: float) -> np.nda
     return mat.real if np.max(np.abs(mat.imag)) < 1e-12 else mat
 
 
+# Relative tolerance of projection_deviation's certified norm.
+PROJECTION_NORM_TOL = 1e-6
+
+
 def projection_deviation(
-    spec: HamiltonianSpec,
-    energy: float,
-    width: float,
-    tol: float = 1e-6,
-    seed: int = 0,
+    spec: HamiltonianSpec, energy: float, width: float, seed: int = 0
 ) -> float:
-    """|| chi((H - E)/delta) - chi((A - E)/delta) || for one realization."""
+    """|| chi((H - E)/delta) - chi((A - E)/delta) || for one realization, to
+    relative PROJECTION_NORM_TOL."""
     # chi vanishes outside |x| < 1, so only eigenpairs within delta of E enter.
     eig = dense_diagonalize(spec, window=(energy - width, energy + width))
     diff = spectral_projection(eig, energy, width) - free_cutoff_operator(
         spec.grid, energy, width
     )
-    return op_norm(diff, tol=tol, seed=seed)
+    return op_norm(diff, tol=PROJECTION_NORM_TOL, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Resolvents
 
 
-def apply_free_resolvent(grid: TorusGrid, z: complex, values: np.ndarray) -> np.ndarray:
-    """(A - z)^{-1} applied through the Fourier multiplier 1/(omega - z)."""
+def apply_free_resolvent(omega_minus_z: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(A - z)^{-1} applied through the Fourier multiplier 1/(omega - z), given
+    omega - z on the grid (``momentum_grid(grid) - z``)."""
     hat = np.fft.fftn(values)
-    hat /= momentum_grid(grid) - z
+    hat /= omega_minus_z
     return np.fft.ifftn(hat)
 
 
@@ -232,16 +234,18 @@ def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray
     # (H - z) M = I + lam V M with M = (A - z)^{-1}: solve the preconditioned
     # system for y, then x = M y.
     lam_v = spec.potential
+    omega = momentum_grid(grid)
+    omega_minus_z = omega - z
 
     def precond_matvec(y: np.ndarray) -> np.ndarray:
-        my = apply_free_resolvent(grid, z, y.reshape(grid.shape))
+        my = apply_free_resolvent(omega_minus_z, y.reshape(grid.shape))
         return (y.reshape(grid.shape) + lam_v * my).ravel()
 
     y, converged = _gmres(
         precond_matvec, b.ravel(), COLUMN_RTOL / 10.0, COLUMN_RESTART, COLUMN_MAX_CYCLES
     )
-    x = apply_free_resolvent(grid, z, y.reshape(grid.shape))
-    hx = np.fft.ifftn(np.fft.fftn(x) * momentum_grid(grid))  # A x
+    x = apply_free_resolvent(omega_minus_z, y.reshape(grid.shape))
+    hx = np.fft.ifftn(np.fft.fftn(x) * omega)  # A x
     residual = np.linalg.norm((hx + lam_v * x - z * x - b).ravel())
     if not converged or residual > COLUMN_RTOL:
         raise NonConvergenceError(

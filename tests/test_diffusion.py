@@ -12,6 +12,8 @@ from qdlab.diffusion import (
     EnergyPoint,
     F_eval,
     KernelField,
+    _momentum_mean,
+    _wilson,
     anticoncentration_mc,
     ball_indicator,
     convolve_kernel,
@@ -83,14 +85,12 @@ def test_F_fixed_resolution_matches_direct_sum():
     m = 64
     omega = momentum_grid(TorusGrid(2, m))
     direct = np.mean(1.0 / (omega - z))
-    assert abs(F_eval(z, 2, resolution=m) - direct) <= 1e-12 * abs(direct)
+    assert abs(_momentum_mean(z, 2, m) - direct) <= 1e-12 * abs(direct)
 
 
-def test_F_rejects_real_z_and_tiny_resolution():
+def test_F_rejects_real_z_and_tiny_eta():
     with pytest.raises(ValueError):
         F_eval(1.0 + 0.0j, 2)
-    with pytest.raises(ValueError):
-        F_eval(1.0 + 0.1j, 2, resolution=1)
     with pytest.raises(NonConvergenceError):
         F_eval(1.0 + 1e-9j, 2)
 
@@ -214,12 +214,12 @@ def test_green_apply_identities():
     grid = TorusGrid(2, 16)
     kernel = kernel_K(point, solve_theta(point).theta, grid)
     # constant input: geometric series of the mass
-    out = green_apply(kernel, np.ones(grid.shape), tol=1e-12)
+    out = green_apply(kernel, np.ones(grid.shape))
     np.testing.assert_allclose(out, 1.0 / (1.0 - kernel.mass), rtol=1e-10)
     # residual of (Id - lam^2 K) out = f
     rng = np.random.default_rng(5)
     f = rng.random(grid.shape)
-    x = green_apply(kernel, f, tol=1e-12)
+    x = green_apply(kernel, f)
     back = x - point.lam**2 * convolve_kernel(kernel, x)
     assert np.max(np.abs(back - f)) <= 1e-10
     # zero kernel passes f through untouched
@@ -248,7 +248,7 @@ def test_predict_constant_observable_is_im_theta_over_eta():
     point = EnergyPoint(E=1.0, eta=0.04, lam=0.2, d=2)
     sol = solve_theta(point, resolution=64)
     grid = TorusGrid(2, 64)
-    out = predict_observable(point, sol.theta, np.ones(grid.shape), grid=grid)
+    out = predict_observable(point, sol.theta, np.ones(grid.shape))
     np.testing.assert_allclose(out, sol.theta.imag / point.eta, rtol=1e-8)
 
 
@@ -268,7 +268,7 @@ def test_measure_observable_ward_normalization():
 def test_measure_observable_free_oracle():
     grid = TorusGrid(2, 16)
     z = 0.5 + 0.2j
-    col = apply_free_resolvent(grid, z, delta_field(grid).values)
+    col = apply_free_resolvent(momentum_grid(grid) - z, delta_field(grid).values)
     f = ball_indicator(grid, 2.5)
     want = float(np.sum(f * np.abs(col) ** 2))
     sample = measure_observable(grid, 0.0, z, f, seeds=(0, 7))
@@ -276,13 +276,16 @@ def test_measure_observable_free_oracle():
 
 
 def test_measure_observable_reuses_columns():
-    grid = TorusGrid(2, 12)
-    z = 0.5 + 0.3j
-    first = measure_observable(grid, 0.3, z, np.ones(grid.shape), seeds=(0, 1),
-                               keep_columns=True)
-    again = measure_observable(grid, 0.3, z, np.ones(grid.shape), seeds=(0, 1),
-                               columns=first.columns)
-    np.testing.assert_array_equal(first.values, again.values)
+    # The columns measure_observable keeps serve deloc_check in place of new solves.
+    grid, lam, z = deloc_point()
+    f = np.ones(grid.shape)
+    kept = measure_observable(grid, lam, z, f, seeds=(0, 1), keep_columns=True)
+    assert measure_observable(grid, lam, z, f, seeds=(0, 1)).columns is None
+    with pytest.warns(UserWarning):
+        reused = deloc_check(grid, lam, z, c1=0.5, seeds=(0, 1), columns=kept.columns)
+    with pytest.warns(UserWarning):
+        solved = deloc_check(grid, lam, z, c1=0.5, seeds=(0, 1))
+    np.testing.assert_array_equal(reused.fractions, solved.fractions)
 
 
 def test_ball_indicator_counts():
@@ -368,8 +371,10 @@ def test_wrapped_walk_matches_fft_convolution():
     dist_j = np.fft.ifftn(phat**j).real
     ball = ball_indicator(kernel.grid, 2.0)
     exact = float(np.sum(dist_j * ball))
-    est = anticoncentration_mc(step, j, (0, 0), 2.0, n_trials=40000, seed=2, wrap=True)
-    assert est.ci_low <= exact <= est.ci_high
+    pos = walk_positions(step, [j], n_trials=40000, seed=2, wrap=True)[j]
+    hits = int(np.count_nonzero(np.sum(pos.astype(float) ** 2, axis=1) <= 2.0**2))
+    ci_low, ci_high = _wilson(hits, 40000)
+    assert ci_low <= exact <= ci_high
 
 
 def test_walk_positions_checkpoints_are_partial_sums():
@@ -398,7 +403,7 @@ def test_neumann_walk_sum_against_fft_green_function():
     # and the same number through the deterministic Green operator
     point = EnergyPoint(E=1.0, eta=0.1, lam=0.3, d=2)
     theta = solve_theta(point).theta
-    predicted = predict_observable(point, theta, ball, grid=kernel.grid)
+    predicted = predict_observable(point, theta, ball)
     assert predicted[0, 0] == pytest.approx(exact, rel=1e-8)
 
 

@@ -204,17 +204,6 @@ def test_table_round_trips_full_precision(tmp_path):
     assert float(cells[1]) == third
 
 
-def test_table_provenance_comments(tmp_path):
-    table = ResultTable([("x", "")], provenance=("seeds: 0 1", "hash: abc"))
-    table.add_row(1)
-    path = tmp_path / "p.csv"
-    emit_table(table, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seeds: 0 1"
-    assert lines[1] == "# hash: abc"
-    assert lines[2] == "x"
-
-
 def test_table_rejects_nonfinite_without_flag_column(tmp_path):
     table = ResultTable([("x", "1")])
     table.add_row(float("inf"))

@@ -219,19 +219,11 @@ def displacement_oracle(spec, psi0, t):
 
 
 @pytest.mark.filterwarnings("ignore::qdlab.propagation.WraparoundWarning")
-@pytest.mark.parametrize("start", ["point", "complex"])
-def test_trajectory_matches_dense_propagator(start):
+def test_trajectory_matches_dense_propagator():
     spec = HamiltonianSpec.sample(TorusGrid(2, 10), 0.5, seed=5)
     times = (0.0, 0.7, 3.1, 9.4)
-    if start == "point":
-        psi0 = None
-        values = delta_field(spec.grid).values
-    else:
-        rng = rng_for(8, stream=1)
-        values = rng.standard_normal(spec.grid.shape) + 1j * rng.standard_normal(spec.grid.shape)
-        psi0 = ComplexField(spec.grid, values / np.linalg.norm(values))
-        values = psi0.values
-    rec = run_trajectory(spec, times, psi0=psi0, tol=1e-10)
+    values = delta_field(spec.grid).values
+    rec = run_trajectory(spec, times, tol=1e-10)
     for t, got_msd, got_mass in zip(times, rec.msd, rec.mass):
         want_msd, want_mass = displacement_oracle(spec, values, t)
         assert got_mass == pytest.approx(want_mass, rel=1e-9)
@@ -260,28 +252,26 @@ def test_trajectory_errors_do_not_add_over_sample_times():
 
 def test_trajectory_order_overflow_before_any_step(monkeypatch):
     # The order comes from the largest time, not from the gap between times:
-    # t = 10 alone fits max_order, t = 20 does not.
+    # t = 7.5e4 alone fits the default budget, t = 1.5e5 does not.
     import qdlab.propagation as propagation
 
     spec = small_spec()
-    max_order = plan_evolution(spec, 10.0).order
-    assert plan_evolution(spec, 20.0).order > max_order
+    assert plan_evolution(spec, 7.5e4).order <= propagation.MAX_ORDER
+    with pytest.raises(OrderOverflowError):
+        plan_evolution(spec, 1.5e5)
 
     def no_step(*args, **kwargs):
         raise AssertionError("a Chebyshev step ran before the order check")
 
     monkeypatch.setattr(propagation, "hamiltonian_product", no_step)
     with pytest.raises(OrderOverflowError):
-        run_trajectory(spec, [10.0, 20.0], max_order=max_order)
+        run_trajectory(spec, [7.5e4, 1.5e5])
 
 
 def test_start_on_another_grid_is_rejected():
     spec = small_spec()
-    other = delta_field(TorusGrid(1, 16))
-    with pytest.raises(ValueError, match="psi0"):
-        run_trajectory(spec, [1.0], psi0=other)
     with pytest.raises(ValueError):
-        evolve(spec, other, 1.0)
+        evolve(spec, delta_field(TorusGrid(1, 16)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +320,7 @@ def test_dyson_T1_zero_time():
 def test_dyson_T1_identity_potential():
     # V = 1 commutes with A: T_1(t) = t exp(-itA), an absolute scale check
     grid = TorusGrid(1, 8)
-    ones = DisorderField(grid, seed=-1, stream=0, values=np.ones(grid.shape))
+    ones = DisorderField(grid, np.ones(grid.shape))
     t1 = dyson_Tk(HamiltonianSpec(grid, 0.5, ones), 1, 1.7)
     want = 1.7 * spectral_propagator(HamiltonianSpec(grid, 0.0, ones), 1.7)
     assert np.max(np.abs(t1 - want)) <= 1e-10
@@ -349,8 +339,8 @@ def test_dyson_T1_matches_central_difference():
     spec = small_spec(seed=5)
     t, eps = 1.1, 1e-5
     v = spec.disorder.values
-    plus = HamiltonianSpec(spec.grid, eps, DisorderField(spec.grid, 5, 0, v))
-    minus = HamiltonianSpec(spec.grid, eps, DisorderField(spec.grid, 5, 0, -v))
+    plus = HamiltonianSpec(spec.grid, eps, DisorderField(spec.grid, v))
+    minus = HamiltonianSpec(spec.grid, eps, DisorderField(spec.grid, -v))
     want = 1j * (spectral_propagator(plus, t) - spectral_propagator(minus, t)) / (2 * eps)
     got = dyson_Tk(spec, 1, t, n_quad=48)
     assert np.linalg.norm(got - want, 2) <= 1e-8
@@ -404,7 +394,7 @@ def test_deviation_matches_dense():
     full = (q * np.exp(-1j * t * energies)[None, :]) @ q.T
     free = free_propagator_dense(spec.grid, t)
     want = np.linalg.norm(full - free, 2)
-    got = propagator_deviation(spec, t, tol=1e-5, chebyshev_tol=1e-10)
+    got = propagator_deviation(spec, t, tol=1e-5)
     assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
 
 
@@ -413,7 +403,7 @@ def test_deviation_dominated_by_collision_series():
     # tail <= lam^4 t max|V| max_s ||T_3(s)||
     spec = small_spec(lam=0.5, seed=7)
     t = 1.5
-    dev = propagator_deviation(spec, t, tol=1e-5, chebyshev_tol=1e-10)
+    dev = propagator_deviation(spec, t, tol=1e-5)
     series = sum(
         spec.lam**k * np.linalg.norm(dyson_Tk(spec, k, t, n_quad=32), 2)
         for k in (1, 2, 3)

@@ -86,26 +86,26 @@ def test_local_law_matches_semicircle_in_bulk():
     assert outside.deviation < 0.02
 
 
-def test_local_law_scalar_z_and_stats_fields():
-    (s,) = goe_local_law(64, 1.0 + 2.0j, 3, seed=0)
+def test_local_law_stats_fields():
+    (s,) = goe_local_law(64, [1.0 + 2.0j], 3, seed=0)
     assert s.n_dim == 64 and s.n_samples == 3
     assert s.samples.shape == (3,)
     assert np.isfinite(s.stderr)
-    (single,) = goe_local_law(64, 1.0 + 2.0j, 1, seed=0)
+    (single,) = goe_local_law(64, [1.0 + 2.0j], 1, seed=0)
     assert single.stderr == math.inf
 
 
 def test_local_law_warns_below_resolution_floor():
     # floor = 4 * n^(-1/4) = 2.0 at n = 16
     with pytest.warns(UserWarning, match="resolution floor"):
-        goe_local_law(16, 0.0 + 1.0j, 1, seed=0)
+        goe_local_law(16, [0.0 + 1.0j], 1, seed=0)
 
 
 def test_local_law_validation():
     with pytest.raises(ValueError):
-        goe_local_law(32, 1.0 - 1.0j, 2)
+        goe_local_law(32, [1.0 - 1.0j], 2)
     with pytest.raises(ValueError):
-        goe_local_law(32, 1.0 + 1.0j, 0)
+        goe_local_law(32, [1.0 + 1.0j], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from qdlab.lattice import (
     TorusGrid,
     delta_field,
     dense_hamiltonian,
+    momentum_grid,
 )
 from qdlab.spectral import (
     apply_free_resolvent,
@@ -128,7 +129,7 @@ def test_free_cutoff_matches_projection_route():
 def test_projection_deviation_free_limit_and_oracle():
     assert projection_deviation(free_spec(1, 16), 0.5, 1.0) <= 1e-8
     spec = HamiltonianSpec.sample(TorusGrid(1, 24), 0.3, seed=2)
-    got = projection_deviation(spec, 1.0, 0.5, tol=1e-7)
+    got = projection_deviation(spec, 1.0, 0.5)
     eig = dense_diagonalize(spec)
     diff = spectral_projection(eig, 1.0, 0.5) - free_cutoff_operator(
         spec.grid, 1.0, 0.5
@@ -152,7 +153,7 @@ def test_resolvent_free_limit_matches_multiplier():
     spec = free_spec(2, 8)
     z = 0.5 + 0.3j
     col = resolvent_dense(spec, z)[:, 0].reshape(spec.grid.shape)
-    want = apply_free_resolvent(spec.grid, z, delta_field(spec.grid).values)
+    want = apply_free_resolvent(momentum_grid(spec.grid) - z, delta_field(spec.grid).values)
     assert np.max(np.abs(col - want)) <= 1e-9
     col_iter = resolvent_column(spec, z)
     assert np.max(np.abs(col_iter - want)) <= 1e-10
@@ -194,10 +195,11 @@ def test_column_matches_scipy_gmres_on_the_preconditioned_operator(d, L):
     spec = HamiltonianSpec.sample(TorusGrid(d, L), 0.2, seed=1)
     z = 1.0 + 0.04j
     grid = spec.grid
+    omega_minus_z = momentum_grid(grid) - z
 
     def matvec(y):
         y = y.reshape(grid.shape)
-        return (y + spec.potential * apply_free_resolvent(grid, z, y)).ravel()
+        return (y + spec.potential * apply_free_resolvent(omega_minus_z, y)).ravel()
 
     op = scipy.sparse.linalg.LinearOperator(
         (grid.n_sites,) * 2, matvec=matvec, dtype=np.complex128
@@ -212,7 +214,7 @@ def test_column_matches_scipy_gmres_on_the_preconditioned_operator(d, L):
         maxiter=spectral.COLUMN_MAX_CYCLES,
     )
     assert info == 0
-    want = apply_free_resolvent(grid, z, y.reshape(grid.shape))
+    want = apply_free_resolvent(omega_minus_z, y.reshape(grid.shape))
     got = resolvent_column(spec, z)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -222,9 +224,9 @@ def test_column_through_several_restart_cycles(monkeypatch):
     monkeypatch.setattr(spectral, "COLUMN_RESTART", restart)
     calls = []
 
-    def counting(grid, z, values):
+    def counting(omega_minus_z, values):
         calls.append(None)
-        return apply_free_resolvent(grid, z, values)
+        return apply_free_resolvent(omega_minus_z, values)
 
     monkeypatch.setattr(spectral, "apply_free_resolvent", counting)
     spec = HamiltonianSpec.sample(TorusGrid(2, 16), 0.4, seed=6)
@@ -233,6 +235,30 @@ def test_column_through_several_restart_cycles(monkeypatch):
     assert len(calls) > 3 * restart
     want = resolvent_dense(spec, z)[:, np.ravel_multi_index((5, 11), spec.grid.shape)]
     assert np.max(np.abs(col - want.reshape(spec.grid.shape))) <= 1e-10
+
+
+def test_column_builds_the_dispersion_once_whatever_the_iteration_count(monkeypatch):
+    builds, applies = [], []
+
+    def counting(calls, fn):
+        def wrapped(*args):
+            calls.append(None)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(spectral, "momentum_grid", counting(builds, momentum_grid))
+    monkeypatch.setattr(spectral, "apply_free_resolvent", counting(applies, apply_free_resolvent))
+    spec = HamiltonianSpec.sample(TorusGrid(2, 16), 0.4, seed=6)
+    counts = []
+    for z in (1.0 + 0.5j, 1.0 + 0.02j):
+        builds.clear()
+        applies.clear()
+        resolvent_column(spec, z)
+        counts.append((len(builds), len(applies)))
+    (builds_a, applies_a), (builds_b, applies_b) = counts
+    assert applies_b > applies_a
+    assert builds_a == builds_b == 1
 
 
 def test_ward_check_rejects_lower_half_plane():
