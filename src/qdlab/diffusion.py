@@ -206,15 +206,13 @@ def mtilde_kernel(point: EnergyPoint, theta: complex, grid: TorusGrid) -> np.nda
 
 @dataclass(frozen=True)
 class KernelField:
-    """Nonnegative even kernel Ktilde(x) = |Mtilde(x)|^2 with moment summary."""
+    """Nonnegative even kernel Ktilde(x) = |Mtilde(x)|^2 with its mass and mean."""
 
     grid: TorusGrid
     lam: float
     values: np.ndarray
     mass: float  # lam^2 sum Ktilde
     mean: np.ndarray  # lam^2 sum x Ktilde (minimal-image x; +/-L/2 plane counts as 0)
-    second_moment: float  # lam^2 sum |x|^2 Ktilde
-    fourth_moment: float  # lam^2 sum |x|^4 Ktilde
 
 
 def kernel_K(point: EnergyPoint, theta: complex, grid: TorusGrid) -> KernelField:
@@ -230,10 +228,7 @@ def kernel_K(point: EnergyPoint, theta: complex, grid: TorusGrid) -> KernelField
         shape = [1] * grid.d
         shape[axis] = grid.L
         mean[axis] = lam2 * float((values * axis_coord.reshape(shape)).sum())
-    r2 = distance_sq_grid(grid)
-    second = lam2 * float((values * r2).sum())
-    fourth = lam2 * float((values * r2**2).sum())
-    return KernelField(grid, point.lam, values, mass, mean, second, fourth)
+    return KernelField(grid, point.lam, values, mass, mean)
 
 
 def green_apply(kernel: KernelField, f: np.ndarray) -> np.ndarray:
@@ -278,20 +273,10 @@ def convolve_kernel(kernel: KernelField, f: np.ndarray) -> np.ndarray:
 
 
 def predict_observable(
-    point: EnergyPoint,
-    theta: complex,
-    f: np.ndarray,
-    kernel: KernelField | None = None,
+    point: EnergyPoint, theta: complex, f: np.ndarray, kernel: KernelField
 ) -> np.ndarray:
-    """Deterministic prediction (Id - lam^2 K)^{-1}(Ktilde * f) of sum_x f |R_.x|^2.
-
-    Without ``kernel`` it is built on the torus grid of f's shape.
-    """
-    f = np.asarray(f, dtype=float)
-    if kernel is None:
-        if f.ndim != point.d:
-            raise ValueError("f must have one axis per dimension")
-        kernel = kernel_K(point, theta, TorusGrid(point.d, f.shape[0]))
+    """Deterministic prediction (Id - lam^2 K)^{-1}(Ktilde * f) of sum_x f |R_.x|^2
+    at ``point``, where ``kernel`` is `kernel_K` of (point, theta) on f's grid."""
     return green_apply(kernel, convolve_kernel(kernel, f))
 
 
@@ -303,15 +288,6 @@ class ObservableSample:
     values: np.ndarray  # O[f] per seed
     im_r00: np.ndarray  # Im R_00 per seed
     columns: list[np.ndarray] | None
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.values))
-
-    @property
-    def quartiles(self) -> tuple[float, float, float]:
-        lo, mid, hi = np.percentile(self.values, [25.0, 50.0, 75.0])
-        return float(lo), float(mid), float(hi)
 
 
 def measure_observable(

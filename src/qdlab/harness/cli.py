@@ -50,7 +50,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="qdlab",
         description="Run desk-scale lattice-disorder experiments from INI configs.",
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     val_p.add_argument("config", help="path to an INI config file")
     val_p.set_defaults(func=_cmd_validate)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -46,11 +46,6 @@ class TorusGrid:
     def n_sites(self) -> int:
         return self.L**self.d
 
-    def site_index(self, coords) -> int:
-        """Flat row-major index of a (possibly unwrapped) coordinate tuple."""
-        wrapped = tuple(int(c) % self.L for c in coords)
-        return int(np.ravel_multi_index(wrapped, self.shape))
-
     def site_coords(self, index: int) -> tuple[int, ...]:
         return tuple(int(c) for c in np.unravel_index(int(index), self.shape))
 
@@ -101,13 +96,6 @@ class ComplexField:
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
         self.values = vals
-
-    def norm(self) -> float:
-        # Exact ell^2 norm: root of the sum of squared moduli.
-        return float(np.sqrt(np.sum(self.values.real**2 + self.values.imag**2)))
-
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
 
 
 def delta_field(grid: TorusGrid) -> ComplexField:
@@ -192,16 +180,14 @@ def _add_neighbours(
         _add_shifted(out, values, axis, -1, assign=False)
 
 
-def apply_adjacency(grid: TorusGrid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum over the 2d unit-vector neighbors.  On L=2 both directions coincide,
-    which correctly double-counts the single neighbor (circulant convention).
+def apply_adjacency(grid: TorusGrid, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum over the 2d unit-vector neighbors of values.  On L=2 both
+    directions coincide, which correctly double-counts the single neighbor
+    (circulant convention).
 
     Terms are added in the order roll(+1), roll(-1) per axis, axis 0 first.
-    With ``out`` (same shape and dtype, not sharing memory with ``values``)
-    the sum is written there instead of a new array.
+    ``out`` has the shape and dtype of ``values`` and shares no memory with it.
     """
-    if out is None:
-        out = np.empty_like(values)
     _add_neighbours(grid, values, out, assign_first=True)
     return out
 
@@ -227,12 +213,6 @@ def apply_hamiltonian(spec: HamiltonianSpec, field: ComplexField) -> ComplexFiel
         raise ValueError("field grid does not match Hamiltonian grid")
     out = np.empty_like(field.values)
     return ComplexField(spec.grid, hamiltonian_product(spec, field.values, out))
-
-
-def dispersion(xi) -> np.ndarray:
-    """omega(xi) = 2 sum_j cos(xi_j) for momentum vectors in the last axis."""
-    xi = np.asarray(xi, dtype=float)
-    return 2.0 * np.sum(np.cos(xi), axis=-1)
 
 
 def momentum_grid(grid: TorusGrid) -> np.ndarray:

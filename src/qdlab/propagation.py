@@ -197,19 +197,10 @@ def _spread(weights: np.ndarray, density: np.ndarray) -> tuple[float, float]:
     return float(np.vdot(weights, density)) / total, total
 
 
-def msd(field: ComplexField) -> float:
-    """Mean-square displacement sum |x|^2 |psi(x)|^2 / ||psi||^2, minimal-image."""
-    density = field.values.real**2 + field.values.imag**2
-    return _spread(distance_sq_grid(field.grid), density)[0]
-
-
 @dataclass
 class TrajectoryRecord:
     """Sampled evolution record of one disorder realization."""
 
-    d: int
-    L: int
-    lam: float
     seed: int
     times: np.ndarray
     msd: np.ndarray
@@ -261,23 +252,17 @@ def run_trajectory(
     if times.size > 1:
         segments = 0.5 * np.diff(times) * (msds[1:] + msds[:-1])
         avg[1:] = np.cumsum(segments) / (times[1:] - times[0])
-    return TrajectoryRecord(
-        d=spec.grid.d,
-        L=spec.grid.L,
-        lam=spec.lam,
-        seed=seed,
-        times=times,
-        msd=msds,
-        mass=masses,
-        avg_msd=avg,
-    )
+    return TrajectoryRecord(seed=seed, times=times, msd=msds, mass=masses, avg_msd=avg)
 
 
 # ---------------------------------------------------------------------------
 # Operator norms
 
+# Lanczos steps each start of op_norm may take before NonConvergenceError.
+LANCZOS_MAX_ITER = 1000
 
-def _lanczos_top_sigma(op: LinearOperator, rng, tol: float, max_iter: int) -> float:
+
+def _lanczos_top_sigma(op: LinearOperator, rng, tol: float) -> float:
     """Top singular value of op by Lanczos on A*A from one random start.
 
     Full reorthogonalization (the Krylov depths here are small compared to the
@@ -293,7 +278,7 @@ def _lanczos_top_sigma(op: LinearOperator, rng, tol: float, max_iter: int) -> fl
     betas: list[float] = []
     theta = 0.0
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(LANCZOS_MAX_ITER):
         w = op.rmatvec(op.matvec(basis[-1]))
         alphas.append(float(np.real(np.vdot(basis[-1], w))))
         for _ in range(2):  # twice-is-enough reorthogonalization
@@ -315,7 +300,7 @@ def _lanczos_top_sigma(op: LinearOperator, rng, tol: float, max_iter: int) -> fl
         betas.append(beta)
         basis.append(w / beta)
     raise NonConvergenceError(
-        f"norm iteration did not converge in {max_iter} steps "
+        f"norm iteration did not converge in {LANCZOS_MAX_ITER} steps "
         f"(residual bound {resid:.3e} vs target {tol * max(theta, 1e-300):.3e})"
     )
 
@@ -336,22 +321,16 @@ def _real_matrix_product(m: np.ndarray):
     return apply
 
 
-def op_norm(
-    a,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
-    seed: int = 0,
-    restarts: int = 2,
-) -> float:
+def op_norm(a, tol: float = 1e-6, seed: int = 0, restarts: int = 2) -> float:
     """Largest singular value by Krylov (Lanczos) iteration on A*A.
 
     Differences of near-commuting unitaries -- the routine client here --
     carry a continuum of near-top singular values, which stalls plain power
     iteration below the norm; the Lanczos recurrence resolves such tops in a
     few dozen matvec pairs.  Certified by `restarts` independent randomized
-    starts that must agree within 2*tol relative; disagreement or hitting
-    max_iter raises NonConvergenceError rather than returning a silent
-    underestimate.
+    starts that must agree within 2*tol relative; disagreement or a start
+    running out of LANCZOS_MAX_ITER steps raises NonConvergenceError rather
+    than returning a silent underestimate.
     """
     if isinstance(a, LinearOperator):
         op = a
@@ -369,7 +348,7 @@ def op_norm(
     estimates = []
     for r in range(restarts):
         rng = rng_for(seed, stream=0xA11CE + r)
-        estimates.append(_lanczos_top_sigma(op, rng, tol, max_iter))
+        estimates.append(_lanczos_top_sigma(op, rng, tol))
     spread = max(estimates) - min(estimates)
     if spread > 2.0 * tol * max(max(estimates), 1e-300):
         raise NonConvergenceError(

@@ -8,9 +8,8 @@ Three groups of tools live here:
   Khintchine norm statistics, and a suite of deterministic trace inequalities
   evaluated on random inputs.
 * Gaussian-integration-by-parts residuals for resolvent averages (GOE and
-  lattice-disorder flavors, plus a scalar quadrature oracle) and the crossing
-  term that couples two independent copies through an interpolation in the
-  correlation parameter.
+  lattice-disorder flavors) and the crossing term that couples two
+  independent copies through an interpolation in the correlation parameter.
 """
 
 from __future__ import annotations
@@ -39,11 +38,9 @@ __all__ = [
     "GIBPReport",
     "gibp_check_goe",
     "gibp_check_anderson",
-    "gibp_scalar_oracle",
     "CrossingReport",
     "crossing_check_goe",
     "crossing_check_anderson",
-    "crossing_scalar_oracle",
 ]
 
 
@@ -100,22 +97,6 @@ class LocalLawStats:
     def deviation(self) -> float:
         """|sample mean - semicircle reference|."""
         return abs(self.mean - self.reference)
-
-    @property
-    def semicircle_density(self) -> float:
-        """pi times the semicircle density at Re z: sqrt(1 - (E/2)^2)_+.
-
-        The eta -> 0 limit of Im m; the finite-eta ``reference`` differs
-        from it at O(eta).
-        """
-        e_half = self.z.real / 2.0
-        return math.sqrt(max(1.0 - e_half * e_half, 0.0))
-
-    @property
-    def quadratic_residual(self) -> float:
-        """|m(m+z)+1| for the sample mean m; zero for the exact reference."""
-        m = self.mean
-        return abs(m * (m + self.z) + 1.0)
 
 
 def goe_local_law(
@@ -221,16 +202,11 @@ class GaussianSeriesEnsemble:
             return 1.0
         return (self.n + 1.0) / self.n
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "diag":
-            return np.diag(rng.standard_normal(self.n))
-        return sample_goe(self.n, rng)
-
     def sample_norm(self, rng: np.random.Generator) -> float:
         """Operator norm of one sample; avoids diagonalizing when diagonal."""
         if self.kind == "diag":
             return float(np.max(np.abs(rng.standard_normal(self.n))))
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.sample(rng)))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(sample_goe(self.n, rng)))))
 
 
 @dataclass(frozen=True)
@@ -414,10 +390,6 @@ class GIBPReport:
     stderr: np.ndarray
 
     @property
-    def max_abs_residual(self) -> float:
-        return float(np.max(np.abs(self.mean_residual)))
-
-    @property
     def max_ratio(self) -> float:
         """Largest entrywise |mean| / stderr; compare against ~4."""
         return float(np.max(np.abs(self.mean_residual) / self.stderr))
@@ -552,30 +524,6 @@ def gibp_check_anderson(
     return GIBPReport(
         n_samples=n_samples, plugin=theta, mean_residual=mean, stderr=stderr
     )
-
-
-def gibp_scalar_oracle(
-    lam: float, z: complex, n_nodes: int = 200
-) -> tuple[complex, complex]:
-    """Both sides of the 1x1 identity E[(lam g - z)^{-1}] = ... by quadrature.
-
-    Returns (lhs, rhs) where lhs = E[R], rhs = Mfree (1 + lam^2 E[R^2]
-    - lam^2 theta E[R]) with theta = E[R] and Mfree = -1/(z + lam^2 theta).
-    Gauss-Hermite quadrature makes both sides exact to machine precision, so
-    the difference isolates algebra errors rather than sampling noise.
-    """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError(f"require Im z > 0, got {z}")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    r = 1.0 / (lam * nodes - z)
-    e_r = complex(np.sum(weights * r))
-    e_r2 = complex(np.sum(weights * r * r))
-    theta = e_r
-    mfree = -1.0 / (z + lam * lam * theta)
-    rhs = mfree * (1.0 + lam * lam * e_r2 - lam * lam * theta * e_r)
-    return e_r, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -781,35 +729,3 @@ def crossing_check_anderson(
         draw_pair, contraction, cov_apply, adj, z, n_samples, n_nodes, seed,
         CROSSING_ANDERSON_CHUNK,
     )
-
-
-def crossing_scalar_oracle(
-    lam: float, z: complex, n_nodes_gh: int = 80, n_nodes_gl: int = 24
-) -> tuple[complex, complex]:
-    """Both crossing routes for the 1x1 model, by deterministic quadrature.
-
-    direct = lam^2 E[(R - E R) R] over a single Gaussian; interpolated =
-    int_0^1 lam^4 E[Rq^2 R1^2] dw with q = w^2 over an independent pair.
-    Agreement validates the interpolation identity and the q = w^2 Jacobian
-    handling without Monte-Carlo noise.
-    """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError(f"require Im z > 0, got {z}")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes_gh)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    r = 1.0 / (lam * nodes - z)
-    e_r = np.sum(weights * r)
-    direct = lam * lam * np.sum(weights * (r - e_r) * r)
-
-    w_nodes, w_weights = _gl_nodes_unit(n_nodes_gl)
-    q_nodes = w_nodes**2
-    gg, gg_p = np.meshgrid(nodes, nodes, indexing="ij")
-    ww = np.outer(weights, weights)
-    r1 = 1.0 / (lam * gg_p - z)
-    interp = 0.0 + 0.0j
-    for q, w_q in zip(q_nodes, w_weights):
-        mixed = math.sqrt(1.0 - q) * gg + math.sqrt(q) * gg_p
-        rq = 1.0 / (lam * mixed - z)
-        interp += w_q * lam**4 * np.sum(ww * rq * rq * r1 * r1)
-    return complex(direct), complex(interp)

@@ -21,6 +21,7 @@ from .lattice import (
     TorusGrid,
     circulant_from_kernel,
     dense_hamiltonian,
+    hamiltonian_product,
     momentum_grid,
 )
 from .propagation import op_norm
@@ -28,28 +29,23 @@ from .propagation import op_norm
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenpairs of one disorder realization, columns = eigenvectors (the
-    full spectrum unless `dense_diagonalize` was given a window)."""
+    """Eigenpairs of one disorder realization in the window `dense_diagonalize`
+    was given, columns = eigenvectors."""
 
     energies: np.ndarray
     vectors: np.ndarray
 
 
-def dense_diagonalize(
-    spec: HamiltonianSpec, window: tuple[float, float] | None = None
-) -> EigenDecomposition:
+def dense_diagonalize(spec: HamiltonianSpec, window: tuple[float, float]) -> EigenDecomposition:
     """eigh of the dense Hamiltonian, with a residual certificate.
 
-    With ``window = (lo, hi)`` only the eigenpairs with lo < E <= hi are
+    Only the eigenpairs with lo < E <= hi, ``window = (lo, hi)``, are
     computed, which skips forming every other eigenvector.  The max-entry
     residual of H Q - Q diag(E) must not exceed 1e-10 times the spectral
     scale 2d + lam * max|V|; otherwise NonConvergenceError.
     """
     h = dense_hamiltonian(spec)
-    if window is None:
-        energies, vectors = np.linalg.eigh(h)
-    else:
-        energies, vectors = scipy.linalg.eigh(h, subset_by_value=window)
+    energies, vectors = scipy.linalg.eigh(h, subset_by_value=window)
     scale = 2.0 * spec.grid.d + spec.lam * float(np.max(np.abs(spec.disorder.values)))
     residual = float(np.max(np.abs(h @ vectors - vectors * energies[None, :]), initial=0.0))
     if residual > 1e-10 * max(scale, 1.0):
@@ -75,8 +71,7 @@ def spectral_projection(
     """Smoothed projection chi((H - energy) / width) from eigenpairs of H.
 
     chi vanishes outside |x| < 1, so any decomposition that holds every
-    eigenpair with |E - energy| < width (the full spectrum, or one windowed
-    by `dense_diagonalize`) gives the same projection.
+    eigenpair with |E - energy| < width gives the same projection.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -209,15 +204,16 @@ def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray
 
     Matrix-free GMRES (`_gmres`), preconditioned on the right by the free
     resolvent (A - z)^{-1} applied through FFT.  The true residual
-    ||(H - z) x - e_site|| is recomputed from x; NonConvergenceError, with
-    that residual, if it is above COLUMN_RTOL or GMRES ran out of its restart
-    budget.
+    ||(H - z) x - e_site|| is recomputed from x with the stencil
+    (`hamiltonian_product`), which shares no code with the preconditioner;
+    NonConvergenceError, with that residual, if it is above COLUMN_RTOL or
+    GMRES ran out of its restart budget.
 
     The preconditioned operator is I + lam V (A - z)^{-1}, so convergence
     depends on lam^2 / eta (eta = Im z), not on the size.  Supported regime:
     lam^2 / eta of order one or below, as in criteria 8-10 and
     configs/deloc.ini (lam^2 / eta = 1, on a 2-core VM: 50-70 iterations,
-    0.02-0.04 s a column at d=2 L=64, 0.39-0.50 s at L=256, 0.09-0.14 s at
+    0.02-0.04 s a column at d=2 L=64, 0.6-0.85 s at L=256, 0.15-0.21 s at
     d=3 L=24).  Far above it GMRES slows down or stalls: at lam^2 / eta = 1000
     (d=2 L=16 lam=1 z=0.3+0.001i) one 256-site column takes about 6600
     iterations, 0.8-1.3 s, and at 25-200 on L=128-256 grids the restart
@@ -234,8 +230,7 @@ def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray
     # (H - z) M = I + lam V M with M = (A - z)^{-1}: solve the preconditioned
     # system for y, then x = M y.
     lam_v = spec.potential
-    omega = momentum_grid(grid)
-    omega_minus_z = omega - z
+    omega_minus_z = momentum_grid(grid) - z
 
     def precond_matvec(y: np.ndarray) -> np.ndarray:
         my = apply_free_resolvent(omega_minus_z, y.reshape(grid.shape))
@@ -245,8 +240,8 @@ def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray
         precond_matvec, b.ravel(), COLUMN_RTOL / 10.0, COLUMN_RESTART, COLUMN_MAX_CYCLES
     )
     x = apply_free_resolvent(omega_minus_z, y.reshape(grid.shape))
-    hx = np.fft.ifftn(np.fft.fftn(x) * omega)  # A x
-    residual = np.linalg.norm((hx + lam_v * x - z * x - b).ravel())
+    hx = hamiltonian_product(spec, x, np.empty_like(x))
+    residual = np.linalg.norm((hx - z * x - b).ravel())
     if not converged or residual > COLUMN_RTOL:
         raise NonConvergenceError(
             f"resolvent solve at z={z} stalled: residual {residual:.3e} "

@@ -3,6 +3,7 @@ registry runner, determinism, and the command-line interface."""
 
 import importlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -337,38 +338,44 @@ def test_map_ordered_preserves_order(monkeypatch):
 # Command-line interface
 
 
-def test_cli_list(capsys):
-    assert main(["list"]) == 0
+def run_cli(monkeypatch, *args):
+    """The console script's exit code for ``qdlab args...``."""
+    monkeypatch.setattr(sys, "argv", ["qdlab", *args])
+    return main()
+
+
+def test_cli_list(monkeypatch, capsys):
+    assert run_cli(monkeypatch, "list") == 0
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
         assert name in out
 
 
-def test_cli_validate_ok(tmp_path, capsys):
+def test_cli_validate_ok(tmp_path, monkeypatch, capsys):
     path = tmp_path / "good.ini"
     path.write_text("[run]\nexperiment = tk\n", encoding="utf-8")
-    assert main(["validate", str(path)]) == 0
+    assert run_cli(monkeypatch, "validate", str(path)) == 0
     assert "ok: experiment 'tk'" in capsys.readouterr().out
 
 
-def test_cli_validate_reports_all_errors(tmp_path, capsys):
+def test_cli_validate_reports_all_errors(tmp_path, monkeypatch, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(
         "[run]\nexperiment = figure1\n\n[lattice]\nlamda = 0.3\nL = x\n",
         encoding="utf-8",
     )
-    assert main(["validate", str(path)]) == 2
+    assert run_cli(monkeypatch, "validate", str(path)) == 2
     err = capsys.readouterr().err
     assert err.count("config error:") >= 2
     assert "did you mean 'lambda'" in err
 
 
-def test_cli_missing_config_file(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "absent.ini")]) == 2
+def test_cli_missing_config_file(tmp_path, monkeypatch, capsys):
+    assert run_cli(monkeypatch, "validate", str(tmp_path / "absent.ini")) == 2
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_cli_run_success(tmp_path, capsys):
+def test_cli_run_success(tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "results"
     path = tmp_path / "run.ini"
     path.write_text(
@@ -376,14 +383,14 @@ def test_cli_run_success(tmp_path, capsys):
         f"{outdir}\n\n[matrix]\nn = 5\n\n[sampling]\nn_trials = 20\n",
         encoding="utf-8",
     )
-    assert main(["run", str(path)]) == 0
+    assert run_cli(monkeypatch, "run", str(path)) == 0
     out = capsys.readouterr().out
     assert "wrote 1 file(s)" in out
     assert (outdir / "inequalities.csv").exists()
     assert (outdir / "manifest.json").exists()
 
 
-def test_cli_run_numerical_failure(tmp_path, capsys):
+def test_cli_run_numerical_failure(tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "failing"
     path = tmp_path / "fail.ini"
     path.write_text(
@@ -391,7 +398,7 @@ def test_cli_run_numerical_failure(tmp_path, capsys):
         "[spectral]\neta = 1e-12\n",
         encoding="utf-8",
     )
-    assert main(["run", str(path)]) == 3
+    assert run_cli(monkeypatch, "run", str(path)) == 3
     assert "numerical failure:" in capsys.readouterr().err
     assert (outdir / "manifest.json").exists()
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv
 
@@ -14,18 +15,21 @@ from qdlab.lattice import (
     HamiltonianSpec,
     TorusGrid,
     delta_field,
+    dense_adjacency,
     dense_hamiltonian,
+    distance_sq_grid,
     free_propagate,
     free_propagator_dense,
     rng_for,
 )
+from qdlab import propagation
 from qdlab.propagation import (
     WraparoundWarning,
     _bessel_tail_order,
     _kapteyn_log_bound,
+    _spread,
     dyson_Tk,
     evolve,
-    msd,
     op_norm,
     plan_evolution,
     propagator_deviation,
@@ -105,7 +109,7 @@ def test_evolve_mass_drift():
     f = delta_field(spec.grid)
     tol = 1e-8
     out = evolve(spec, f, 10.0, tol=tol)
-    assert abs(out.norm() - 1.0) <= 10 * tol
+    assert abs(np.linalg.norm(out.values) - 1.0) <= 10 * tol
 
 
 def test_order_overflow():
@@ -141,6 +145,13 @@ def test_kapteyn_bound_ratios_do_not_increase(tau):
 
 # ---------------------------------------------------------------------------
 # msd and trajectories
+
+
+def msd(field):
+    """run_trajectory's mean-square displacement of one field: _spread over
+    the minimal-image |x|^2 weights."""
+    density = field.values.real**2 + field.values.imag**2
+    return _spread(distance_sq_grid(field.grid), density)[0]
 
 
 def test_msd_point_mass_and_pair():
@@ -304,9 +315,10 @@ def test_op_norm_matrix_free_route():
     )
 
 
-def test_op_norm_nonconvergence():
+def test_op_norm_nonconvergence(monkeypatch):
+    monkeypatch.setattr(propagation, "LANCZOS_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError):
-        op_norm(np.diag([2.0, 1.0]), max_iter=1)
+        op_norm(np.diag([2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +380,23 @@ def test_dyson_composition_identity(k):
         for j in range(k + 1)
     )
     assert np.linalg.norm(long_op - combined, 2) <= 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dyson_Tk_is_a_block_of_the_van_loan_exponential(k):
+    # T_k(t) is the (0, k) block of exp(tM) for the block-bidiagonal M with
+    # -iA on the diagonal and V above it (Van Loan, IEEE Trans. Autom.
+    # Control 23, 395 (1978)); scipy's expm shares no code with the quadrature
+    spec = small_spec()
+    t = 1.6
+    n = spec.grid.n_sites
+    m = np.zeros(((k + 1) * n, (k + 1) * n), dtype=np.complex128)
+    for j in range(k + 1):
+        m[j * n : (j + 1) * n, j * n : (j + 1) * n] = -1j * dense_adjacency(spec.grid)
+        if j < k:
+            m[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = np.diag(spec.disorder.values.ravel())
+    want = scipy.linalg.expm(t * m)[:n, k * n :]
+    assert np.linalg.norm(dyson_Tk(spec, k, t, n_quad=32) - want, 2) <= 1e-12
 
 
 def test_dyson_rejects_bad_k():

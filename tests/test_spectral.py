@@ -14,6 +14,7 @@ from qdlab.lattice import (
     momentum_grid,
 )
 from qdlab.spectral import (
+    EigenDecomposition,
     apply_free_resolvent,
     dense_diagonalize,
     free_cutoff_operator,
@@ -26,6 +27,10 @@ from qdlab.spectral import (
 )
 
 
+# dense_diagonalize's window holding every eigenvalue
+WHOLE_SPECTRUM = (-np.inf, np.inf)
+
+
 def free_spec(d, L):
     return HamiltonianSpec.sample(TorusGrid(d, L), 0.0, seed=0)
 
@@ -35,7 +40,7 @@ def free_spec(d, L):
 
 
 def test_free_spectrum_is_dispersion():
-    eig = dense_diagonalize(free_spec(1, 8))
+    eig = dense_diagonalize(free_spec(1, 8), WHOLE_SPECTRUM)
     want = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(8) / 8))
     np.testing.assert_allclose(eig.energies, want, atol=1e-10)
 
@@ -43,7 +48,7 @@ def test_free_spectrum_is_dispersion():
 def test_windowed_diagonalization_gives_the_same_projection():
     spec = HamiltonianSpec.sample(TorusGrid(2, 12), 0.3, seed=4)
     energy, width = 0.7, 0.4
-    full = dense_diagonalize(spec)
+    full = EigenDecomposition(*np.linalg.eigh(dense_hamiltonian(spec)))
     part = dense_diagonalize(spec, window=(energy - width, energy + width))
     inside = (full.energies > energy - width) & (full.energies <= energy + width)
     np.testing.assert_allclose(part.energies, full.energies[inside], atol=1e-12)
@@ -57,7 +62,7 @@ def test_windowed_diagonalization_gives_the_same_projection():
 
 def test_trace_identities():
     spec = HamiltonianSpec.sample(TorusGrid(1, 16), 0.5, seed=11)
-    eig = dense_diagonalize(spec)
+    eig = dense_diagonalize(spec, WHOLE_SPECTRUM)
     v = spec.disorder.values
     assert np.sum(eig.energies) == pytest.approx(0.5 * v.sum(), abs=1e-9)
     # tr H^2 = 2 d n + lam^2 sum V^2 (no cross term: A has empty diagonal)
@@ -68,7 +73,7 @@ def test_trace_identities():
 
 def test_eigenvectors_orthonormal_and_residual():
     spec = HamiltonianSpec.sample(TorusGrid(1, 16), 0.5, seed=11)
-    eig = dense_diagonalize(spec)
+    eig = dense_diagonalize(spec, WHOLE_SPECTRUM)
     gram = eig.vectors.T @ eig.vectors
     assert np.max(np.abs(gram - np.eye(16))) <= 1e-10
     h = dense_hamiltonian(spec)
@@ -80,7 +85,7 @@ def test_spectrum_containment():
     grid = TorusGrid(2, 16)
     for seed in range(100):
         spec = HamiltonianSpec.sample(grid, 0.1, seed=seed)
-        eig = dense_diagonalize(spec)
+        eig = dense_diagonalize(spec, WHOLE_SPECTRUM)
         bound = 4.0 + 0.1 * np.max(np.abs(spec.disorder.values))
         assert np.max(np.abs(eig.energies)) <= bound + 1e-10
 
@@ -100,7 +105,7 @@ def test_smooth_cutoff_shape():
 
 def test_projection_limits():
     spec = HamiltonianSpec.sample(TorusGrid(1, 12), 0.4, seed=1)
-    eig = dense_diagonalize(spec)
+    eig = dense_diagonalize(spec, WHOLE_SPECTRUM)
     wide = spectral_projection(eig, 0.0, 1e6)
     assert np.max(np.abs(wide - np.eye(12))) <= 1e-9
     outside = spectral_projection(eig, 50.0, 0.5)  # window misses the spectrum
@@ -111,7 +116,7 @@ def test_projection_limits():
 
 def test_projection_norm_and_near_idempotence():
     spec = HamiltonianSpec.sample(TorusGrid(1, 16), 0.3, seed=5)
-    eig = dense_diagonalize(spec)
+    eig = dense_diagonalize(spec, WHOLE_SPECTRUM)
     p = spectral_projection(eig, 1.0, 1.5)
     weights = smooth_cutoff((eig.energies - 1.0) / 1.5)
     assert np.linalg.norm(p, 2) == pytest.approx(weights.max(), abs=1e-10)
@@ -122,7 +127,8 @@ def test_projection_norm_and_near_idempotence():
 def test_free_cutoff_matches_projection_route():
     grid = TorusGrid(1, 16)
     direct = free_cutoff_operator(grid, 0.5, 1.2)
-    via_eig = spectral_projection(dense_diagonalize(free_spec(1, 16)), 0.5, 1.2)
+    eig = dense_diagonalize(free_spec(1, 16), WHOLE_SPECTRUM)
+    via_eig = spectral_projection(eig, 0.5, 1.2)
     assert np.max(np.abs(direct - via_eig)) <= 1e-9
 
 
@@ -130,7 +136,7 @@ def test_projection_deviation_free_limit_and_oracle():
     assert projection_deviation(free_spec(1, 16), 0.5, 1.0) <= 1e-8
     spec = HamiltonianSpec.sample(TorusGrid(1, 24), 0.3, seed=2)
     got = projection_deviation(spec, 1.0, 0.5)
-    eig = dense_diagonalize(spec)
+    eig = dense_diagonalize(spec, WHOLE_SPECTRUM)
     diff = spectral_projection(eig, 1.0, 0.5) - free_cutoff_operator(
         spec.grid, 1.0, 0.5
     )
