@@ -432,7 +432,6 @@ class ProbabilityEstimate:
     p: float
     ci_low: float
     ci_high: float
-    hits: int
     n_trials: int
 
 
@@ -507,7 +506,7 @@ def anticoncentration_mc(
     delta = walk_positions(step, [n_steps], n_trials, seed)[n_steps] - y[None, :]
     hits = int(np.count_nonzero(np.sum(delta.astype(float) ** 2, axis=1) <= r**2))
     lo, hi = _wilson(hits, n_trials)
-    return ProbabilityEstimate(hits / n_trials, lo, hi, hits, n_trials)
+    return ProbabilityEstimate(hits / n_trials, lo, hi, n_trials)
 
 
 def neumann_walk_sum(

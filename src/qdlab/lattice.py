@@ -262,18 +262,19 @@ def circulant_from_kernel(grid: TorusGrid, kernel: np.ndarray) -> np.ndarray:
 
 
 def dense_adjacency(grid: TorusGrid) -> np.ndarray:
-    """Dense adjacency via Kronecker sums of the 1-d hopping circulant."""
+    """Dense adjacency, one scatter of ones per axis and direction.
+
+    Each scatter hits every row once, so on L=2, where both directions reach
+    the same neighbour, the two scatters of an axis count it twice
+    (circulant convention, as in `apply_adjacency`).
+    """
     if grid.n_sites > DENSE_LIMIT:
         raise ValueError(f"grid has {grid.n_sites} sites, dense limit is {DENSE_LIMIT}")
-    L = grid.L
-    ring = np.eye(L, k=1) + np.eye(L, k=-1)
-    ring[0, L - 1] += 1.0
-    ring[L - 1, 0] += 1.0
+    idx = np.arange(grid.n_sites).reshape(grid.shape)
     out = np.zeros((grid.n_sites, grid.n_sites))
     for axis in range(grid.d):
-        left = np.eye(L**axis)
-        right = np.eye(L ** (grid.d - axis - 1))
-        out += np.kron(np.kron(left, ring), right)
+        for shift in (1, -1):
+            out[idx.ravel(), np.roll(idx, shift, axis=axis).ravel()] += 1.0
     return out
 
 

@@ -305,24 +305,9 @@ def _lanczos_top_sigma(op: LinearOperator, rng, tol: float) -> float:
     )
 
 
-def _real_matrix_product(m: np.ndarray):
-    """v -> m @ v for a real matrix m and a complex v.
-
-    numpy would cast m to complex on every product with a complex vector;
-    the real and imaginary parts of v are multiplied separately instead.
-    """
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = np.empty(m.shape[:1] + v.shape[1:], dtype=np.complex128)
-        out.real = m @ v.real
-        out.imag = m @ v.imag
-        return out
-
-    return apply
-
-
-def op_norm(a, tol: float = 1e-6, seed: int = 0, restarts: int = 2) -> float:
-    """Largest singular value by Krylov (Lanczos) iteration on A*A.
+def op_norm(op: LinearOperator, tol: float = 1e-6, seed: int = 0, restarts: int = 2) -> float:
+    """Largest singular value of a LinearOperator by Krylov (Lanczos)
+    iteration on A*A; only ``op.matvec`` and ``op.rmatvec`` are called.
 
     Differences of near-commuting unitaries -- the routine client here --
     carry a continuum of near-top singular values, which stalls plain power
@@ -332,19 +317,6 @@ def op_norm(a, tol: float = 1e-6, seed: int = 0, restarts: int = 2) -> float:
     running out of LANCZOS_MAX_ITER steps raises NonConvergenceError rather
     than returning a silent underestimate.
     """
-    if isinstance(a, LinearOperator):
-        op = a
-    else:
-        mat = np.asarray(a)
-        if mat.ndim != 2:
-            raise ValueError("op_norm expects a matrix or a LinearOperator")
-        if np.isrealobj(mat):
-            matvec, rmatvec = _real_matrix_product(mat), _real_matrix_product(mat.T)
-        else:
-            herm = mat.conj().T
-            matvec, rmatvec = (lambda v: mat @ v), (lambda v: herm @ v)
-        # An explicit dtype keeps scipy from probing the operator with a matvec.
-        op = LinearOperator(mat.shape, matvec=matvec, rmatvec=rmatvec, dtype=np.complex128)
     estimates = []
     for r in range(restarts):
         rng = rng_for(seed, stream=0xA11CE + r)

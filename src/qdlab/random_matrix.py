@@ -93,11 +93,6 @@ class LocalLawStats:
             return math.inf
         return float(np.std(self.samples) / math.sqrt(self.n_samples))
 
-    @property
-    def deviation(self) -> float:
-        """|sample mean - semicircle reference|."""
-        return abs(self.mean - self.reference)
-
 
 def goe_local_law(
     n: int,
@@ -219,10 +214,6 @@ class NCKReport:
     sigma: float
     threshold: float
     norms: np.ndarray
-
-    @property
-    def mean_norm(self) -> float:
-        return float(np.mean(self.norms))
 
     @property
     def exceedance(self) -> float:
@@ -449,10 +440,13 @@ def gibp_check_goe(n: int, z: complex, n_samples: int, seed: int = 0) -> GIBPRep
         r = np.linalg.inv(h - z * ident)
         tr = np.trace(r, axis1=1, axis2=2)
         trace_sum += tr.sum()
-        a_r = (np.swapaxes(r, 1, 2) + tr[:, None, None] * ident) / n
-        t = ident + z * r + a_r @ r
+        # R is symmetric, so A[R] R = (R^T + tr R) R / n = (R^2 + tr R * R) / n.
+        t = r @ r
+        t /= n
+        t += (z + tr / n)[:, None, None] * r
+        t += ident
         total += t.sum(axis=0)
-        total_sq += (np.abs(t) ** 2).sum(axis=0)
+        total_sq += (t.real**2 + t.imag**2).sum(axis=0)
     mean, stderr = _mc_entry_summary(total, total_sq, n_samples)
     return GIBPReport(
         n_samples=n_samples,
@@ -551,10 +545,6 @@ class CrossingReport:
     @property
     def max_ratio(self) -> float:
         return float(np.max(np.abs(self.diff_mean) / self.diff_stderr))
-
-    @property
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.direct)))
 
 
 def _gl_nodes_unit(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
