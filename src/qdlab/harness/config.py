@@ -221,19 +221,15 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def serialize_config(
-    config: ExperimentConfig, include_output_dir: bool = True
-) -> str:
-    """Canonical INI text: sorted sections and keys, full-precision floats.
-
-    ``parse_config(serialize_config(c))`` reproduces ``c`` exactly.
+def serialize_config(config: ExperimentConfig) -> str:
+    """Canonical INI text of the computation: sorted sections and keys,
+    full-precision floats, no output directory.  ``parse_config`` of it
+    reproduces the experiment and every parameter exactly.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser.add_section(RUN_SECTION)
     parser.set(RUN_SECTION, "experiment", config.experiment)
-    if include_output_dir:
-        parser.set(RUN_SECTION, "output_dir", config.output_dir)
     for name in sorted(config.params):
         section, key = name.split(".", 1)
         if not parser.has_section(section):
@@ -247,8 +243,7 @@ def serialize_config(
 def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 hex digest of the canonical serialization.
 
-    The output directory is excluded: the hash identifies the computation,
+    The output directory is not in it: the hash identifies the computation,
     and two runs differing only in destination produce identical data.
     """
-    text = serialize_config(config, include_output_dir=False)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(serialize_config(config).encode("utf-8")).hexdigest()

@@ -156,54 +156,21 @@ class HamiltonianSpec:
         return values
 
 
-def _add_shifted(out: np.ndarray, values: np.ndarray, axis: int, shift: int, assign: bool) -> None:
-    """out (+)= np.roll(values, shift, axis) for shift = +1 or -1, without the copy."""
-    head = (slice(None),) * axis
-    src, dst = (slice(None, -1), slice(1, None)) if shift == 1 else (slice(1, None), slice(None, -1))
-    edge_src, edge_dst = (-1, 0) if shift == 1 else (0, -1)
-    if assign:
-        out[head + (dst,)] = values[head + (src,)]
-        out[head + (edge_dst,)] = values[head + (edge_src,)]
-    else:
-        out[head + (dst,)] += values[head + (src,)]
-        out[head + (edge_dst,)] += values[head + (edge_src,)]
-
-
-def _add_neighbours(
-    grid: TorusGrid, values: np.ndarray, out: np.ndarray, assign_first: bool
-) -> None:
-    """out += sum of the 2d unit-vector shifts of values, in the order roll(+1),
-    roll(-1) per axis, axis 0 first; with ``assign_first`` the first term is
-    written rather than added."""
-    for axis in range(grid.d):
-        _add_shifted(out, values, axis, 1, assign=assign_first and axis == 0)
-        _add_shifted(out, values, axis, -1, assign=False)
-
-
-def apply_adjacency(grid: TorusGrid, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = sum over the 2d unit-vector neighbors of values.  On L=2 both
-    directions coincide, which correctly double-counts the single neighbor
-    (circulant convention).
-
-    Terms are added in the order roll(+1), roll(-1) per axis, axis 0 first.
-    ``out`` has the shape and dtype of ``values`` and shares no memory with it.
-    """
-    _add_neighbours(grid, values, out, assign_first=True)
-    return out
-
-
 def hamiltonian_product(spec: HamiltonianSpec, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = H values for a real or complex grid-shaped array, with no temporary.
 
     lam V values is written into ``out`` (same shape and dtype, not sharing
-    memory with ``values``) and the 2d neighbor slices are added to it.  This
-    is the one stencil: `apply_hamiltonian` and the Chebyshev recursion of
-    `qdlab.propagation` both call it.
+    memory with ``values``), then the 2d neighbour slices are added in the
+    order of the np.roll sum: roll(+1), roll(-1) per axis, axis 0 first.  On
+    L=2 the one neighbour of an axis counts twice (circulant convention).
     """
-    if spec.lam == 0.0:
-        return apply_adjacency(spec.grid, values, out)
     np.multiply(spec.potential, values, out=out)
-    _add_neighbours(spec.grid, values, out, assign_first=False)
+    for axis in range(spec.grid.d):
+        head = (slice(None),) * axis
+        out[head + (slice(1, None),)] += values[head + (slice(None, -1),)]
+        out[head + (0,)] += values[head + (-1,)]
+        out[head + (slice(None, -1),)] += values[head + (slice(1, None),)]
+        out[head + (-1,)] += values[head + (0,)]
     return out
 
 
@@ -246,19 +213,16 @@ def free_propagator_dense(grid: TorusGrid, t: float) -> np.ndarray:
 
 
 def circulant_from_kernel(grid: TorusGrid, kernel: np.ndarray) -> np.ndarray:
-    """Matrix C[x, y] = kernel[(x - y) mod L] from one translation-invariant row."""
-    n = grid.n_sites
-    idx = np.arange(grid.L)
-    diff = (idx[:, None] - idx[None, :]) % grid.L  # (L, L) per-axis index difference
-    # Flat row-major index of the coordinate difference, accumulated axis by axis.
-    row_mult = np.ones(grid.d, dtype=np.intp)
-    for axis in range(grid.d - 2, -1, -1):
-        row_mult[axis] = row_mult[axis + 1] * grid.L
-    coords = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
-    flat = np.zeros((n, n), dtype=np.intp)
-    for axis in range(grid.d):
-        flat += row_mult[axis] * diff[np.ix_(coords[:, axis], coords[:, axis])]
-    return kernel.ravel()[flat]
+    """Matrix C[x, y] = kernel[(x - y) mod L] from one translation-invariant row.
+
+    One gather on C viewed as (L,)*d x (L,)*d: axis j's index is the (L, L)
+    table of (x_j - y_j) mod L on axes j and d + j, so no n x n index is formed.
+    """
+    d, L = grid.d, grid.L
+    diff = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
+    index = [diff.reshape((1,) * j + (L,) + (1,) * (d - 1) + (L,) + (1,) * (d - 1 - j))
+             for j in range(d)]
+    return kernel[tuple(index)].reshape(grid.n_sites, grid.n_sites)
 
 
 def dense_adjacency(grid: TorusGrid) -> np.ndarray:
@@ -266,7 +230,7 @@ def dense_adjacency(grid: TorusGrid) -> np.ndarray:
 
     Each scatter hits every row once, so on L=2, where both directions reach
     the same neighbour, the two scatters of an axis count it twice
-    (circulant convention, as in `apply_adjacency`).
+    (circulant convention, as in `hamiltonian_product`).
     """
     if grid.n_sites > DENSE_LIMIT:
         raise ValueError(f"grid has {grid.n_sites} sites, dense limit is {DENSE_LIMIT}")

@@ -47,15 +47,10 @@ class WraparoundWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ChebyshevPlan:
-    """Certified expansion of exp(-i t H) on a spectral interval."""
+    """Certified expansion of exp(-i t H) on [-half_width, half_width]."""
 
-    interval: tuple[float, float]
+    half_width: float
     order: int
-    tol: float
-
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.interval[1] - self.interval[0])
 
 
 def _kapteyn_log_bound(tau: float, k: np.ndarray) -> np.ndarray:
@@ -116,7 +111,7 @@ def plan_evolution(
         raise OrderOverflowError(
             f"exp(-i t H) at t={t} needs Chebyshev order {order} > max_order={max_order}"
         )
-    return ChebyshevPlan(interval=(-half, half), order=order, tol=tol)
+    return ChebyshevPlan(half_width=half, order=order)
 
 
 def _chebyshev(
@@ -341,6 +336,7 @@ def dyson_Tk(spec: HamiltonianSpec, k: int, t: float, n_quad: int = 24) -> np.nd
     if not 0 <= k <= 4:
         raise ValueError(f"k must be in 0..4, got {k}")
     v_diag = spec.disorder.values.ravel()
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     free_cache: dict[float, np.ndarray] = {}
 
     def free(tt: float) -> np.ndarray:
@@ -352,7 +348,6 @@ def dyson_Tk(spec: HamiltonianSpec, k: int, t: float, n_quad: int = 24) -> np.nd
     def level(j: int, tt: float) -> np.ndarray:
         if j == 0:
             return free(tt)
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
         s = 0.5 * tt * (nodes + 1.0)
         w = 0.5 * tt * weights
         acc = np.zeros((grid.n_sites, grid.n_sites), dtype=np.complex128)

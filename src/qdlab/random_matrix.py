@@ -87,12 +87,6 @@ class LocalLawStats:
     def mean(self) -> complex:
         return complex(np.mean(self.samples))
 
-    @property
-    def stderr(self) -> float:
-        if self.n_samples < 2:
-            return math.inf
-        return float(np.std(self.samples) / math.sqrt(self.n_samples))
-
 
 def goe_local_law(
     n: int,
@@ -210,7 +204,6 @@ class NCKReport:
 
     n_dim: int
     n_samples: int
-    alpha: float
     sigma: float
     threshold: float
     norms: np.ndarray
@@ -240,7 +233,6 @@ def nck_check(
     return NCKReport(
         n_dim=ensemble.n,
         n_samples=n_samples,
-        alpha=alpha,
         sigma=sigma,
         threshold=threshold,
         norms=norms,
@@ -536,7 +528,6 @@ class CrossingReport:
     """
 
     n_samples: int
-    n_nodes: int
     direct: np.ndarray
     interpolated: np.ndarray
     diff_mean: np.ndarray
@@ -557,6 +548,7 @@ def _crossing_core(
     contraction: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cov_apply: Callable[[np.ndarray], np.ndarray],
     base: np.ndarray | None,
+    n: int,
     z: complex,
     n_samples: int,
     n_nodes: int,
@@ -577,8 +569,6 @@ def _crossing_core(
     q_nodes = w_nodes**2
 
     # Pass 1: endpoint resolvent mean (needed to center the direct route).
-    rng = rng_for(seed, 0xC70)
-    n = draw_pair(rng, 1)[0].shape[1]
     chunk = _auto_chunk(chunk, n)
     shift = z * np.eye(n)
     if base is not None:
@@ -619,7 +609,6 @@ def _crossing_core(
     mean, stderr = _mc_entry_summary(diff_total, diff_sq, n_samples)
     return CrossingReport(
         n_samples=n_samples,
-        n_nodes=n_nodes,
         direct=direct_total / n_samples,
         interpolated=interp_total / n_samples,
         diff_mean=mean,
@@ -671,7 +660,7 @@ def crossing_check_goe(
         return (np.swapaxes(b, 1, 2) + tr * np.eye(n)) / n
 
     return _crossing_core(
-        draw_pair, contraction, cov_apply, None, z, n_samples, n_nodes, seed,
+        draw_pair, contraction, cov_apply, None, n, z, n_samples, n_nodes, seed,
         CROSSING_GOE_CHUNK,
     )
 
@@ -716,6 +705,6 @@ def crossing_check_anderson(
         return (lam * lam) * out
 
     return _crossing_core(
-        draw_pair, contraction, cov_apply, adj, z, n_samples, n_nodes, seed,
+        draw_pair, contraction, cov_apply, adj, n, z, n_samples, n_nodes, seed,
         CROSSING_ANDERSON_CHUNK,
     )

@@ -82,13 +82,14 @@ def spectral_projection(
 
 
 def free_cutoff_operator(grid: TorusGrid, energy: float, width: float) -> np.ndarray:
-    """Dense chi((A - energy) / width) via the Fourier multiplier of A."""
+    """Dense chi((A - energy) / width) via the Fourier multiplier of A.
+
+    chi(omega(xi)) is even in xi, so its kernel is real up to round-off.
+    """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     multiplier = smooth_cutoff((momentum_grid(grid) - energy) / width)
-    kernel = np.fft.ifftn(multiplier.astype(np.complex128))
-    mat = circulant_from_kernel(grid, kernel)
-    return mat.real if np.max(np.abs(mat.imag)) < 1e-12 else mat
+    return circulant_from_kernel(grid, np.fft.ifftn(multiplier).real)
 
 
 # Relative tolerance of projection_deviation's certified norm.
@@ -285,8 +286,8 @@ class WardReport:
     rel_error: float  # |mass - Im R_xx / eta| / mass, mass = sum_y |R_yx|^2
 
 
-def ward_check(column: np.ndarray, z: complex, site=None) -> WardReport:
-    """Verify sum_y |R_yx(z)|^2 = Im R_xx(z) / Im z for one resolvent column.
+def ward_check(column: np.ndarray, z: complex, site) -> WardReport:
+    """Verify sum_y |R_yx(z)|^2 = Im R_xx(z) / Im z for the column of ``site`` x.
 
     The residual is normalized by the column mass (the identity's left side),
     which is strictly positive for any nonzero column.
@@ -294,8 +295,6 @@ def ward_check(column: np.ndarray, z: complex, site=None) -> WardReport:
     eta = z.imag
     if eta <= 0:
         raise ValueError("ward_check expects Im z > 0")
-    if site is None:
-        site = (0,) * column.ndim
     lhs = float(np.sum(column.real**2 + column.imag**2))
     rhs = float(column[tuple(site)].imag / eta)
     return WardReport(abs(lhs - rhs) / max(lhs, 1e-300))

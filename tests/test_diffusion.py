@@ -13,6 +13,7 @@ from qdlab.diffusion import (
     F_eval,
     KernelField,
     _momentum_mean,
+    _theta_fixed_point,
     _wilson,
     anticoncentration_mc,
     ball_indicator,
@@ -29,7 +30,14 @@ from qdlab.diffusion import (
     walk_positions,
 )
 from qdlab.errors import NonConvergenceError
-from qdlab.lattice import TorusGrid, apply_adjacency, delta_field, distance_sq_grid, momentum_grid
+from qdlab.lattice import (
+    HamiltonianSpec,
+    TorusGrid,
+    delta_field,
+    distance_sq_grid,
+    hamiltonian_product,
+    momentum_grid,
+)
 from qdlab.spectral import apply_free_resolvent
 
 
@@ -179,7 +187,8 @@ def test_mtilde_solves_shifted_lattice_equation():
     grid = TorusGrid(2, 32)
     mt = mtilde_kernel(point, theta, grid)
     shift = point.z + point.lam**2 * theta
-    residual = apply_adjacency(grid, mt, np.empty_like(mt)) - shift * mt
+    free = HamiltonianSpec.sample(grid, lam=0.0, seed=0)
+    residual = hamiltonian_product(free, mt, np.empty_like(mt)) - shift * mt
     residual[(0,) * grid.d] -= 1.0
     assert np.max(np.abs(residual)) <= 1e-8
 
@@ -205,7 +214,7 @@ def test_kernel_mass_identity_at_matched_resolution():
     # lam^2 sum K = lam^2 Im theta / (eta + lam^2 Im theta) exactly, when theta
     # is solved on the same momentum grid the kernel lives on
     point = EnergyPoint(E=1.0, eta=0.04, lam=0.2, d=2)
-    sol = solve_theta(point, resolution=64)
+    sol = _theta_fixed_point(point, 64, _momentum_mean(point.z, 2, 64))
     kernel = kernel_K(point, sol.theta, TorusGrid(2, 64))
     want = point.lam**2 * sol.theta.imag / (point.eta + point.lam**2 * sol.theta.imag)
     assert kernel.mass == pytest.approx(want, rel=1e-10)
@@ -247,11 +256,39 @@ def test_green_apply_rejects_nan_and_bounds_its_terms():
 
 def test_predict_constant_observable_is_im_theta_over_eta():
     point = EnergyPoint(E=1.0, eta=0.04, lam=0.2, d=2)
-    sol = solve_theta(point, resolution=64)
+    sol = _theta_fixed_point(point, 64, _momentum_mean(point.z, 2, 64))
     grid = TorusGrid(2, 64)
     kernel = kernel_K(point, sol.theta, grid)
     out = predict_observable(point, sol.theta, np.ones(grid.shape), kernel)
     np.testing.assert_allclose(out, sol.theta.imag / point.eta, rtol=1e-8)
+
+
+def test_kernel_rejects_a_grid_of_another_dimension():
+    point = EnergyPoint(E=1.0, eta=0.1, lam=0.3, d=2)
+    with pytest.raises(ValueError, match="d=2"):
+        kernel_K(point, solve_theta(point).theta, TorusGrid(3, 8))
+
+
+def test_observables_reject_an_f_of_another_shape():
+    point = EnergyPoint(E=1.0, eta=0.1, lam=0.3, d=2)
+    grid = TorusGrid(2, 16)
+    theta = solve_theta(point).theta
+    kernel = kernel_K(point, theta, grid)
+    line = np.ones(16)
+    with pytest.raises(ValueError, match="shape"):
+        predict_observable(point, theta, line, kernel)
+    with pytest.raises(ValueError, match="shape"):
+        measure_observable(grid, point.lam, point.z, line, seeds=(0,))
+
+
+def test_predict_rejects_a_kernel_of_another_coupling():
+    point = EnergyPoint(E=1.0, eta=0.1, lam=0.3, d=2)
+    other = EnergyPoint(E=1.0, eta=0.1, lam=0.5, d=2)
+    grid = TorusGrid(2, 16)
+    theta = solve_theta(other).theta
+    kernel = kernel_K(other, theta, grid)
+    with pytest.raises(ValueError, match="lam=0.5"):
+        predict_observable(point, theta, np.ones(grid.shape), kernel)
 
 
 # ---------------------------------------------------------------------------

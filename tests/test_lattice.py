@@ -10,7 +10,6 @@ from qdlab.lattice import (
     ComplexField,
     HamiltonianSpec,
     TorusGrid,
-    apply_adjacency,
     apply_hamiltonian,
     circulant_from_kernel,
     delta_field,
@@ -22,6 +21,7 @@ from qdlab.lattice import (
     fft_inverse,
     free_propagate,
     free_propagator_dense,
+    hamiltonian_product,
     minimal_image,
     momentum_grid,
     rng_for,
@@ -154,7 +154,8 @@ def test_adjacency_matches_dense(d, L):
     grid = TorusGrid(d, L)
     f = random_field(grid, seed=d * 10 + L)
     dense = dense_adjacency(grid)
-    got = apply_adjacency(grid, f.values, np.empty_like(f.values)).ravel()
+    free = HamiltonianSpec.sample(grid, lam=0.0, seed=0)
+    got = hamiltonian_product(free, f.values, np.empty_like(f.values)).ravel()
     want = dense @ f.values.ravel()
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -162,21 +163,24 @@ def test_adjacency_matches_dense(d, L):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("L", [2, 3, 7])
 def test_adjacency_equals_roll_sum_bitwise(d, L):
-    # The in-place stencil adds the same terms in the same order as the
-    # np.roll sum, so every entry is bit-identical, whatever `out` held
-    # before, and for a non-contiguous input.
+    # The in-place stencil adds lam V values and then the same terms in the
+    # same order as the np.roll sum, so every entry is bit-identical, whatever
+    # `out` held before, for real and complex and for non-contiguous input.
+    # At lam = 0 the leading term is a signed zero, which leaves the sum as is.
     grid = TorusGrid(d, L)
-    values = random_field(grid, seed=d * 100 + L).values
-    want = np.roll(values, 1, axis=0)
-    want += np.roll(values, -1, axis=0)
-    for axis in range(1, d):
-        want += np.roll(values, 1, axis=axis)
-        want += np.roll(values, -1, axis=axis)
-    out = np.full(grid.shape, np.nan, dtype=np.complex128)
-    assert apply_adjacency(grid, values, out) is out
-    assert np.array_equal(out, want)
-    transposed = np.ascontiguousarray(values.T).T
-    assert np.array_equal(apply_adjacency(grid, transposed, np.empty_like(values)), want)
+    complex_values = random_field(grid, seed=d * 100 + L).values
+    for lam in (0.0, 0.7):
+        spec = HamiltonianSpec.sample(grid, lam=lam, seed=d + L)
+        for values in (complex_values, np.ascontiguousarray(complex_values.real)):
+            want = spec.potential * values
+            for axis in range(d):
+                want += np.roll(values, 1, axis=axis)
+                want += np.roll(values, -1, axis=axis)
+            out = np.full(grid.shape, np.nan, dtype=values.dtype)
+            assert hamiltonian_product(spec, values, out) is out
+            assert np.array_equal(out, want)
+            transposed = np.ascontiguousarray(values.T).T
+            assert np.array_equal(hamiltonian_product(spec, transposed, np.empty_like(values)), want)
 
 
 def test_adjacency_L2_double_counts():
@@ -205,15 +209,16 @@ def test_hamiltonian_grid_mismatch():
 
 
 def test_circulant_from_kernel_brute_force():
-    grid = TorusGrid(2, 3)
-    kernel = rng_for(4, stream=1).standard_normal(grid.shape)
-    mat = circulant_from_kernel(grid, kernel)
-    for x in range(grid.n_sites):
-        cx = grid.site_coords(x)
-        for y in range(grid.n_sites):
-            cy = grid.site_coords(y)
-            diff = tuple((a - b) % grid.L for a, b in zip(cx, cy))
-            assert mat[x, y] == kernel[diff]
+    for d, L in [(1, 5), (2, 3), (2, 4), (3, 2), (3, 3)]:
+        grid = TorusGrid(d, L)
+        kernel = rng_for(4, stream=1).standard_normal(grid.shape)
+        mat = circulant_from_kernel(grid, kernel)
+        for x in range(grid.n_sites):
+            cx = grid.site_coords(x)
+            for y in range(grid.n_sites):
+                cy = grid.site_coords(y)
+                diff = tuple((a - b) % grid.L for a, b in zip(cx, cy))
+                assert mat[x, y] == kernel[diff]
 
 
 @pytest.mark.parametrize("d,L,t", [(1, 8, 0.7), (2, 4, 1.3)])

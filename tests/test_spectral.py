@@ -201,7 +201,7 @@ def test_ward_identity_column_small_grid():
     spec = HamiltonianSpec.sample(TorusGrid(2, 16), 0.4, seed=8)
     z = 1.0 + 0.05j
     col = resolvent_column(spec, z)
-    assert ward_check(col, z).rel_error <= 1e-10
+    assert ward_check(col, z, site=(0, 0)).rel_error <= 1e-10
 
 
 def test_ward_identity_column_large_grid_off_origin():
@@ -294,7 +294,7 @@ def test_column_builds_the_dispersion_once_whatever_the_iteration_count(monkeypa
 def test_ward_check_rejects_lower_half_plane():
     col = np.ones((4, 4), dtype=complex)
     with pytest.raises(ValueError):
-        ward_check(col, 1.0 - 0.1j)
+        ward_check(col, 1.0 - 0.1j, site=(0, 0))
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ Every public top-level function and class in ``src/qdlab`` must be named
 somewhere other than its own definition and its module's ``__all__`` entry:
 elsewhere in ``src``, in the acceptance criteria, in the benchmark
 (``perfbench/*.py``) or in ``pyproject.toml``.  Unit tests do not count, so
-a reference implementation that only they read belongs with them.
+a reference implementation that only they read belongs with them.  Every
+member of a class must be read somewhere, and the README's quick tour must run.
 """
 
 import ast
@@ -55,3 +56,55 @@ def unreached_names() -> list[str]:
 
 def test_every_public_definition_is_reached_outside_the_unit_tests():
     assert unreached_names() == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _members(tree: ast.Module):
+    """(class, member, first line, last line) of every dataclass field and
+    public method or property of the top-level classes."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield cls.name, node.name, node.lineno, node.end_lineno
+            elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and _is_dataclass(cls)):
+                yield cls.name, node.target.id, node.lineno, node.end_lineno
+
+
+def unread_members() -> list[str]:
+    """Members that no ``<expr>.name`` reads outside their own definition, in
+    ``src``, the tests or the benchmark."""
+    readers = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    reads = []  # (path, line, attribute name)
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.lineno, node.attr))
+    unread = []
+    for path in SOURCES:
+        for cls, name, first, last in _members(ast.parse(path.read_text(encoding="utf-8"))):
+            if not any(attr == name and not (where == path and first <= line <= last)
+                       for where, line, attr in reads):
+                unread.append(f"{path.relative_to(ROOT)}:{cls}.{name}")
+    return unread
+
+
+def test_every_member_is_read_somewhere():
+    assert unread_members() == []
+
+
+def test_readme_quick_tour_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
