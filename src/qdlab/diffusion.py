@@ -4,9 +4,9 @@ The chain of objects: the free-lattice Green diagonal F(z), the self-consistent
 shift theta solving theta = F(z + lam^2 theta), the renormalized propagator
 kernel Mtilde(x) = IFFT[1/(omega - z - lam^2 theta)], the nonnegative
 convolution kernel Ktilde = |Mtilde|^2, the Green operator
-(Id - lam^2 K)^{-1} summed as a Neumann series, and the random walk whose step
-distribution is the normalized Ktilde.  Observable predictions from this chain
-are compared against disorder-averaged resolvent data.
+(Id - lam^2 K)^{-1} applied as one Fourier division, and the random walk whose
+step distribution is the normalized Ktilde (its Monte-Carlo sum checks that
+division).  Observable predictions are compared against disorder-averaged resolvent data.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ F_DOUBLING_TOL = 1e-8
 THETA_DAMPING = 0.5
 THETA_TOL = 1e-12
 THETA_MAX_ITER = 500
-# Sup-norm bound on the discarded tail of the Green-operator Neumann series.
-GREEN_TOL = 1e-10
 # Trials per walk chunk.  Chunk k draws from its own random stream k, so this
 # also fixes which draws every trial gets.
 WALK_CHUNK = 16384
@@ -233,38 +231,22 @@ def kernel_K(point: EnergyPoint, theta: complex, grid: TorusGrid) -> KernelField
 
 
 def green_apply(kernel: KernelField, f: np.ndarray) -> np.ndarray:
-    """(Id - lam^2 K)^{-1} f by the Neumann series, convolving with FFTs.
+    """(Id - lam^2 K)^{-1} f as one Fourier division by 1 - lam^2 FFT(K).
 
-    Terms are added until the latest one is below GREEN_TOL * (1 - mass) in
-    sup norm, which bounds the discarded tail by GREEN_TOL.  Since
-    ||lam^2 K * g||_inf <= mass ||g||_inf, the j-th term is at most
-    mass^j ||f||_inf; one term past the count this implies, the series
-    raises NonConvergenceError.
+    K is a circular convolution, so the operator is diagonal in momentum
+    space.  Since K >= 0, |lam^2 FFT(K)| <= lam^2 sum K = mass < 1: the
+    divisor stays at least 1 - mass away from zero, and no series, budget or
+    tolerance is involved.
     """
     if not kernel.mass < 1.0:
-        raise ValueError(f"kernel mass {kernel.mass} is not below 1: Neumann series diverges")
+        raise ValueError(f"kernel mass {kernel.mass} is not below 1: Green operator undefined")
     f = np.asarray(f, dtype=float)
     if f.shape != kernel.grid.shape:
         raise ValueError(f"field shape {f.shape} does not match grid {kernel.grid.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("green_apply needs a finite field")
-    target = GREEN_TOL * (1.0 - kernel.mass)
-    size = float(np.max(np.abs(f)))
-    max_terms = 1
-    if kernel.mass > 0.0 and size > target:
-        max_terms += math.ceil(math.log(target / size) / math.log(kernel.mass))
     khat = np.fft.fftn(kernel.values) * kernel.lam**2
-    out = f.copy()
-    term = f
-    for _ in range(max_terms):
-        term = np.fft.ifftn(np.fft.fftn(term) * khat).real
-        out += term
-        size = float(np.max(np.abs(term)))
-        if size <= target:
-            return out
-    raise NonConvergenceError(
-        f"Neumann series: term {max_terms} has sup norm {size:.3e} > {target:.3e}"
-    )
+    return np.fft.ifftn(np.fft.fftn(f) / (1.0 - khat)).real
 
 
 def convolve_kernel(kernel: KernelField, f: np.ndarray) -> np.ndarray:
@@ -402,7 +384,6 @@ class StepDistribution:
     displacements: np.ndarray  # (n, d) integer minimal-image vectors
     probabilities: np.ndarray  # (n,), sums to 1
     sigma: float  # radial standard deviation sqrt(E|X|^2)
-    L: int  # original torus side (for wrapped walks)
 
     def __post_init__(self) -> None:
         total = float(self.probabilities.sum())
@@ -429,7 +410,7 @@ def step_distribution(kernel: KernelField) -> StepDistribution:
             probs = np.concatenate([np.where(hit, 0.5 * probs, probs), 0.5 * probs[hit]])
             disp = np.concatenate([disp, mirrored])
     sigma = math.sqrt(float(probs @ np.sum(disp.astype(float) ** 2, axis=1)))
-    return StepDistribution(disp, probs, sigma, L)
+    return StepDistribution(disp, probs, sigma)
 
 
 @dataclass(frozen=True)
@@ -464,13 +445,11 @@ def walk_positions(
     checkpoints,
     n_trials: int,
     seed: int,
-    wrap: bool = False,
 ) -> dict[int, np.ndarray]:
     """Positions Y_N of the i.i.d.-step walk at each checkpoint N, all trials.
 
     One walk serves every checkpoint (partial sums), so estimates across N
-    are correlated but much cheaper.  wrap=True folds positions onto the
-    torus, matching circular convolution; they are reported minimal-image.
+    are correlated but much cheaper.  Positions are not folded onto the torus.
     """
     checkpoints = sorted(int(n) for n in checkpoints)
     if checkpoints[0] < 1:
@@ -487,31 +466,23 @@ def walk_positions(
         for n_ck in checkpoints:
             if n_ck > prev:
                 pos += _sample_steps(step, (size, n_ck - prev), rng).sum(axis=1)
-            if wrap:
-                pos %= step.L
             out[n_ck][done : done + size] = pos
             prev = n_ck
         done += size
         stream += 1
-    if wrap:
-        half = step.L // 2
-        for n_ck in checkpoints:
-            out[n_ck] = (out[n_ck] + half) % step.L - half
     return out
 
 
 def anticoncentration_mc(
     step: StepDistribution,
     n_steps: int,
-    y,
     r: float,
     n_trials: int,
     seed: int = 0,
 ) -> ProbabilityEstimate:
-    """Monte-Carlo P(|Y_N - y| <= r) for the unwrapped kernel-driven walk."""
-    y = np.asarray(y, dtype=np.int64)
-    delta = walk_positions(step, [n_steps], n_trials, seed)[n_steps] - y[None, :]
-    hits = int(np.count_nonzero(np.sum(delta.astype(float) ** 2, axis=1) <= r**2))
+    """Monte-Carlo P(|Y_N| <= r) for the unwrapped kernel-driven walk from the origin."""
+    pos = walk_positions(step, [n_steps], n_trials, seed)[n_steps]
+    hits = int(np.count_nonzero(np.sum(pos.astype(float) ** 2, axis=1) <= r**2))
     lo, hi = _wilson(hits, n_trials)
     return ProbabilityEstimate(hits / n_trials, lo, hi, n_trials)
 
@@ -525,18 +496,18 @@ def neumann_walk_sum(
     """lam^{-2} sum_j (1-alpha)^j P(|Y_j| <= r) for the torus-wrapped walk.
 
     Returns (value, standard error, deterministic tail bound).  alpha is
-    1 - mass; wrapping matches the FFT Green operator exactly, so this equals
-    predict_observable of the ball indicator at the origin up to MC error.
+    1 - mass; folding each checkpoint by its minimal image matches the circular
+    Green operator, so this equals predict_observable of the ball at 0 up to MC error.
     """
     decay = kernel.mass
     alpha = 1.0 - decay
     lam2 = kernel.lam**2
     j_max = max(4, int(math.ceil(math.log(WALK_TAIL_TOL * alpha * lam2) / math.log(decay))))
     step = step_distribution(kernel)
-    positions = walk_positions(step, range(1, j_max + 1), n_trials, seed, wrap=True)
+    positions = walk_positions(step, range(1, j_max + 1), n_trials, seed)
     per_trial = np.zeros(n_trials)
     for j in range(1, j_max + 1):
-        pos = positions[j].astype(float)
+        pos = minimal_image(kernel.grid, positions[j]).astype(float)
         hit = (np.sum(pos**2, axis=1) <= r**2).astype(float)
         per_trial += decay**j * hit
     value = float(per_trial.mean()) / lam2

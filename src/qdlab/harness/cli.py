@@ -1,7 +1,7 @@
 """Command-line entry point: run, list, and validate experiments.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-non-convergence during a run.
+Exit codes: 0 success, 2 configuration/validation failure (including a
+ValueError raised during a run), 3 numerical non-convergence during a run.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _read_config(args.config)
-    manifest = run_experiment(config)
+    try:
+        manifest = run_experiment(config)
+    except ValueError as exc:
+        # A precondition only the run can check, e.g. deloc's crossover window.
+        raise ConfigError(str(exc).splitlines()) from exc
     print(f"wrote {len(manifest.files)} file(s) to {config.output_dir}")
     for name in manifest.files:
         print(f"  {name}")

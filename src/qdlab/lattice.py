@@ -244,7 +244,6 @@ def dense_adjacency(grid: TorusGrid) -> np.ndarray:
 
 def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     out = dense_adjacency(spec.grid)
-    if spec.lam != 0.0:
-        idx = np.arange(spec.grid.n_sites)
-        out[idx, idx] += spec.potential.ravel()
+    idx = np.arange(spec.grid.n_sites)
+    out[idx, idx] += spec.potential.ravel()
     return out

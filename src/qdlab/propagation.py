@@ -101,10 +101,7 @@ def plan_evolution(
     if not (1e-14 < tol < 1e-4):
         raise ValueError(f"tol must lie in (1e-14, 1e-4), got {tol}")
     band = 2.0 * spec.grid.d
-    margin = 0.0
-    if spec.lam > 0.0:
-        margin = spec.lam * max(6.0, float(np.max(np.abs(spec.disorder.values))))
-    half = band + margin
+    half = band + spec.lam * max(6.0, float(np.max(np.abs(spec.disorder.values))))
     tau = abs(t) * half
     order = _bessel_tail_order(tau, tol)
     if order > max_order:
@@ -244,9 +241,8 @@ def run_trajectory(
 
     avg = np.empty(times.size)
     avg[0] = msds[0]
-    if times.size > 1:
-        segments = 0.5 * np.diff(times) * (msds[1:] + msds[:-1])
-        avg[1:] = np.cumsum(segments) / (times[1:] - times[0])
+    segments = 0.5 * np.diff(times) * (msds[1:] + msds[:-1])
+    avg[1:] = np.cumsum(segments) / (times[1:] - times[0])
     return TrajectoryRecord(seed=seed, times=times, msd=msds, mass=masses, avg_msd=avg)
 
 
@@ -280,10 +276,8 @@ def _lanczos_top_sigma(op: LinearOperator, rng, tol: float) -> float:
             for q in basis:
                 w -= np.vdot(q, w) * q
         beta = float(np.linalg.norm(w))
-        t_mat = np.diag(alphas).astype(float)
-        if len(alphas) > 1:
-            off = np.asarray(betas)
-            t_mat += np.diag(off, 1) + np.diag(off, -1)
+        off = np.asarray(betas)
+        t_mat = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
         evals, evecs = np.linalg.eigh(t_mat)
         theta = float(evals[-1])
         resid = beta * abs(float(evecs[-1, -1]))

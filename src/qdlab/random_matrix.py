@@ -547,7 +547,7 @@ def _crossing_core(
     draw_pair: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
     contraction: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cov_apply: Callable[[np.ndarray], np.ndarray],
-    base: np.ndarray | None,
+    base: np.ndarray,
     n: int,
     z: complex,
     n_samples: int,
@@ -570,9 +570,7 @@ def _crossing_core(
 
     # Pass 1: endpoint resolvent mean (needed to center the direct route).
     chunk = _auto_chunk(chunk, n)
-    shift = z * np.eye(n)
-    if base is not None:
-        shift = shift - base
+    shift = z * np.eye(n) - base
     r1_total = np.zeros((n, n), dtype=complex)
     rng = rng_for(seed, 0xC71)
     for start in range(0, n_samples, chunk):
@@ -660,7 +658,7 @@ def crossing_check_goe(
         return (np.swapaxes(b, 1, 2) + tr * np.eye(n)) / n
 
     return _crossing_core(
-        draw_pair, contraction, cov_apply, None, n, z, n_samples, n_nodes, seed,
+        draw_pair, contraction, cov_apply, np.zeros((n, n)), n, z, n_samples, n_nodes, seed,
         CROSSING_GOE_CHUNK,
     )
 

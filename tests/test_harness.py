@@ -402,6 +402,36 @@ def test_cli_run_numerical_failure(tmp_path, monkeypatch, capsys):
     assert (outdir / "manifest.json").exists()
 
 
+def test_cli_validate_rejects_kinetic_without_disorder(tmp_path, monkeypatch, capsys):
+    # At lambda = 0 every deviation is 0, so the run's log-log slope is undefined.
+    path = tmp_path / "free.ini"
+    path.write_text(
+        f"[run]\nexperiment = kinetic\noutput_dir = {tmp_path / 'out'}\n\n"
+        "[lattice]\nlambda = 0\n",
+        encoding="utf-8",
+    )
+    assert run_cli(monkeypatch, "validate", str(path)) == 2
+    assert "config error: lattice.lambda: precondition violated: lambda > 0" in capsys.readouterr().err
+    assert run_cli(monkeypatch, "run", str(path)) == 2
+
+
+def test_cli_run_reports_runtime_precondition_as_config_error(tmp_path, monkeypatch, capsys):
+    # eta = 0.1 is outside deloc's crossover window [0.02, 0.08] at lambda = 0.2,
+    # which only the run checks.
+    outdir = tmp_path / "deloc"
+    path = tmp_path / "deloc.ini"
+    path.write_text(
+        f"[run]\nexperiment = deloc\noutput_dir = {outdir}\n\n"
+        "[lattice]\nlambda = 0.2\n\n[spectral]\neta = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run_cli(monkeypatch, "validate", str(path)) == 0
+    assert run_cli(monkeypatch, "run", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "config error: eta=0.1 outside the crossover window" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Public exports
 
