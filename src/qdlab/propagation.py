@@ -5,7 +5,10 @@ certified by Kapteyn's bound on the Bessel-coefficient tail, so the
 propagator error is at most ``tol`` in operator norm on the planned spectral
 interval.  One recursion from t = 0 serves every sample time of a
 trajectory, each time certified on its own; it runs in real arithmetic for a
-real start, since H is real.  The Dyson collision operators
+real start, since H is real.  For a point-mass start the recursion of order R
+runs on the smallest torus that holds its R-hop light cone, exactly: p(H)
+delta_0 is the same site by site for every polynomial p of degree <= R.  The
+Dyson collision operators
 
     T_0(t) = exp(-i t A),   T_j(t) = int_0^t exp(-i (t-s) A) V T_{j-1}(s) ds
 
@@ -28,11 +31,14 @@ from .errors import NonConvergenceError, OrderOverflowError
 from .lattice import (
     DENSE_LIMIT,
     ComplexField,
+    DisorderField,
     HamiltonianSpec,
+    TorusGrid,
     distance_sq_grid,
     free_propagate,
     free_propagator_dense,
     hamiltonian_product,
+    minimal_image,
     rng_for,
 )
 
@@ -112,10 +118,11 @@ def plan_evolution(
 
 
 def _chebyshev(
-    spec: HamiltonianSpec, start: np.ndarray, times: np.ndarray, tol: float, max_order: int
+    spec: HamiltonianSpec, start: np.ndarray, times: np.ndarray, plans: list[ChebyshevPlan]
 ):
     """Yield (j, even, odd) with exp(-i t_j H) start = even + i odd, for every
-    time, from one Chebyshev recursion.
+    time, from one Chebyshev recursion with the given plans (one per time,
+    sharing one half-width).
 
     exp(-i t H) = sum_k (2 - delta_k0) (-i sgn t)^k J_k(a|t|) T_k(H/a) on the
     planned interval [-a, a].  (-i sgn t)^k is real for even k and -i sgn t
@@ -123,14 +130,11 @@ def _chebyshev(
     accumulator with real coefficients.  For a real start the vectors
     T_k(H/a) start are real, and everything runs in the start's dtype.
 
-    ``start`` is taken over as the T_0 buffer.  Every order is planned before
-    the first step, so OrderOverflowError comes first.  Time j stops
-    accumulating past its own certified order and is yielded (in order of
-    certified order, ties in index order); the caller may overwrite the
-    accumulators it is given.  3 + 2 * len(times) fields of the start's dtype
-    are held.
+    ``start`` is taken over as the T_0 buffer.  Time j stops accumulating
+    past its own certified order and is yielded (in order of certified order,
+    ties in index order); the caller may overwrite the accumulators it is
+    given.  3 + 2 * len(times) fields of the start's dtype are held.
     """
-    plans = [plan_evolution(spec, t, tol=tol, max_order=max_order) for t in times]
     rank = np.argsort([plan.order for plan in plans], kind="stable")
     orders = [plans[i].order for i in rank]
     a = plans[0].half_width
@@ -176,7 +180,8 @@ def evolve(
     """psi -> exp(-i t H) psi.  Signed t is accepted (negative t = adjoint)."""
     if field.grid != spec.grid:
         raise ValueError("field grid does not match Hamiltonian grid")
-    ((_, psi, odd),) = _chebyshev(spec, field.values.copy(), np.array([float(t)]), tol, max_order)
+    plan = plan_evolution(spec, t, tol=tol, max_order=max_order)
+    ((_, psi, odd),) = _chebyshev(spec, field.values.copy(), np.array([float(t)]), [plan])
     psi += 1j * odd
     return ComplexField(spec.grid, psi)
 
@@ -208,9 +213,16 @@ def run_trajectory(
     Every sample time is read off one Chebyshev recursion from t = 0, each
     certified to ``tol`` on its own (errors do not add up over the times),
     with the order of the largest time checked against MAX_ORDER before any
-    step.  The recursion runs in real arithmetic and holds 3 + 2 * len(times)
-    real fields.  A WraparoundWarning fires once if r(t) exceeds L/4, where
-    the minimal-image r^2 starts to saturate.
+    step.  Since H is nearest-neighbour, a polynomial of degree <= R in H
+    maps the point mass to a field supported within R hops of the origin,
+    and a path of at most R hops never crosses the wrap edge of a side-M
+    torus, M = 2R + 1.  So with R the largest planned order, the recursion
+    runs exactly on the side-min(L, 2R + 1) crop of the torus around the
+    origin (the torus itself when the cone is wider), with the full torus's
+    expansion interval and orders.  It runs in real arithmetic and holds
+    3 + 2 * len(times) real fields of the crop's side.  A WraparoundWarning
+    fires once if r(t) exceeds L/4 of the full torus, where the minimal-image
+    r^2 starts to saturate.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -218,13 +230,21 @@ def run_trajectory(
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and non-negative")
     grid = spec.grid
-    start = np.zeros(grid.shape)
+    plans = [plan_evolution(spec, t, tol=tol, max_order=MAX_ORDER) for t in times]
+    side = min(grid.L, 2 * max(plan.order for plan in plans) + 1)
+    crop = TorusGrid(grid.d, side)
+    # Crop site x is the torus site at x's minimal-image offset on the crop,
+    # so the origin stays at 0; at side = L the crop is the torus itself.
+    index = minimal_image(crop, np.arange(side)) % grid.L
+    disorder = DisorderField(crop, spec.disorder.values[np.ix_(*[index] * grid.d)])
+    cropped = HamiltonianSpec(crop, spec.lam, disorder)
+    start = np.zeros(crop.shape)
     start[(0,) * grid.d] = 1.0
 
-    weights = distance_sq_grid(grid)
+    weights = distance_sq_grid(crop)
     msds = np.empty(times.size)
     masses = np.empty(times.size)
-    for j, even, odd in _chebyshev(spec, start, times, tol, MAX_ORDER):
+    for j, even, odd in _chebyshev(cropped, start, times, plans):
         # |even + i odd|^2, in the accumulators' own memory.
         density = np.square(even, out=even)
         density += np.square(odd, out=odd)

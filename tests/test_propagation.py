@@ -1,6 +1,7 @@
 """Chebyshev propagator, displacement statistics, and collision operators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,95 @@ def test_trajectory_matches_dense_propagator():
             assert got_msd == pytest.approx(want_msd, rel=1e-9)
         else:
             assert got_msd == pytest.approx(want_msd, abs=1e-12)
+
+
+def light_cone_side(spec, times):
+    """min(L, 2R + 1) for R the largest order planned on the full torus."""
+    order = max(plan_evolution(spec, t).order for t in times)
+    return min(spec.grid.L, 2 * order + 1)
+
+
+def assert_trajectory_matches_full_torus_evolve(spec, times):
+    # evolve never crops, and for one time it plans as run_trajectory does.
+    rec = run_trajectory(spec, times)
+    for t, got_msd, got_mass in zip(times, rec.msd, rec.mass):
+        psi = evolve(spec, delta_field(spec.grid), t)
+        assert got_mass == pytest.approx(float(np.sum(np.abs(psi.values) ** 2)), rel=1e-12)
+        assert got_msd == pytest.approx(msd(psi), rel=1e-12, abs=0.0)
+
+
+# Times per dimension, and R = the last time's planned order at lam = 0.5
+# (the interval is 2d + 3 there unless some |V| exceeds 6).
+LIGHT_CONE_CASES = {1: ((0.0, 0.3, 2.5, 8.0), 66), 2: ((0.4, 1.1, 2.0), 32), 3: ((0.2, 0.6), 19)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extra", [12, 0, 1])
+def test_trajectory_on_the_light_cone_matches_full_torus_evolve(d, extra):
+    # L = 2R + 1 + extra: well above the cone, exactly the cone (the crop is
+    # the torus) and one site more (the smallest torus that is cropped).
+    times, order = LIGHT_CONE_CASES[d]
+    spec = HamiltonianSpec.sample(TorusGrid(d, 2 * order + 1 + extra), 0.5, seed=d)
+    assert plan_evolution(spec, times[-1]).order == order
+    assert_trajectory_matches_full_torus_evolve(spec, times)
+
+
+def test_crop_expands_on_the_full_torus_interval():
+    # A spike outside the cone widens the torus's interval past the crop's;
+    # the crop must still run the torus's plans, or it leaves evolve's values.
+    grid = TorusGrid(2, 64)
+    values = rng_for(3).standard_normal(grid.shape)
+    values[32, 32] = 40.0
+    spec = HamiltonianSpec(grid, 0.5, DisorderField(grid, values))
+    times = (0.1, 0.3)
+    assert plan_evolution(spec, times[-1]).half_width == 24.0
+    assert light_cone_side(spec, times) // 2 < 32  # the crop ends short of the spike
+    assert_trajectory_matches_full_torus_evolve(spec, times)
+
+
+def test_cropped_trajectory_matches_dense_propagator():
+    spec = HamiltonianSpec.sample(TorusGrid(2, 48), 0.5, seed=9)
+    times = (0.3, 0.6, 1.0)
+    assert light_cone_side(spec, times) < spec.grid.L
+    values = delta_field(spec.grid).values
+    rec = run_trajectory(spec, times, tol=1e-8)
+    for t, got_msd, got_mass in zip(times, rec.msd, rec.mass):
+        want_msd, want_mass = displacement_oracle(spec, values, t)
+        assert got_mass == pytest.approx(want_mass, rel=1e-9)
+        assert got_msd == pytest.approx(want_msd, rel=1e-9)
+
+
+def test_recursion_runs_on_the_smallest_torus_holding_the_cone(monkeypatch):
+    # At lam = 0.5, d = 2 the cone of t = 1 is 2R + 1 = 45 sites wide, so a
+    # torus of side 64 is cropped to 45, and one of side 40 is swept whole.
+    shapes = []
+    product = propagation.hamiltonian_product
+
+    def spy(spec, values, out):
+        shapes.append(values.shape)
+        return product(spec, values, out)
+
+    monkeypatch.setattr(propagation, "hamiltonian_product", spy)
+    times = (0.5, 1.0)
+    for L in (64, 40):
+        spec = HamiltonianSpec.sample(TorusGrid(2, L), 0.5, seed=4)
+        steps = plan_evolution(spec, times[-1]).order
+        assert 2 * steps + 1 == 45
+        run_trajectory(spec, times)
+    assert shapes == [(45, 45)] * steps + [(40, 40)] * steps
+
+
+def test_wraparound_warning_measures_the_full_torus_not_the_crop():
+    # At small lam the cone is barely wider than the ballistic front, so r(t)
+    # passes a quarter of the crop while it stays below a quarter of the torus.
+    spec = HamiltonianSpec.sample(TorusGrid(1, 2048), 0.02, seed=0)
+    times = (100.0, 200.0)
+    side = light_cone_side(spec, times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", WraparoundWarning)
+        rec = run_trajectory(spec, times)
+    r = math.sqrt(rec.msd[-1])
+    assert side / 4 < r < spec.grid.L / 4
 
 
 def test_trajectory_errors_do_not_add_over_sample_times():
