@@ -19,7 +19,7 @@ import numpy as np
 
 # Largest site count the dense-only operations accept (dense_adjacency,
 # dense_hamiltonian, free_propagator_dense, resolvent_dense, dyson_Tk).  It
-# picks no route: resolvent columns are matrix-free GMRES at every size.
+# picks no route: resolvent columns are matrix-free COCG at every size.
 DENSE_LIMIT = 4096
 
 _MASK64 = (1 << 64) - 1

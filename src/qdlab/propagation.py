@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
-from scipy.sparse.linalg import LinearOperator
 from scipy.special import jv
 
 from .errors import NonConvergenceError, OrderOverflowError
@@ -273,15 +272,15 @@ def run_trajectory(
 LANCZOS_MAX_ITER = 1000
 
 
-def _lanczos_top_sigma(op: LinearOperator, rng, tol: float) -> float:
-    """Top singular value of op by Lanczos on A*A from one random start.
+def _lanczos_top_sigma(matvec, rmatvec, n: int, rng, tol: float) -> float:
+    """Top singular value of the n-column operator A (``matvec``) with adjoint
+    ``rmatvec`` by Lanczos on A*A from one random start.
 
     Full reorthogonalization (the Krylov depths here are small compared to the
     matvec cost, and spurious Ritz copies would defeat the residual test).
     Converged when the Ritz residual bound beta*|y_last| certifies the top
     Ritz value of A*A to relative tol.
     """
-    n = op.shape[1]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     basis = [v]
@@ -290,7 +289,7 @@ def _lanczos_top_sigma(op: LinearOperator, rng, tol: float) -> float:
     theta = 0.0
     resid = np.inf
     for _ in range(LANCZOS_MAX_ITER):
-        w = op.rmatvec(op.matvec(basis[-1]))
+        w = rmatvec(matvec(basis[-1]))
         alphas.append(float(np.real(np.vdot(basis[-1], w))))
         for _ in range(2):  # twice-is-enough reorthogonalization
             for q in basis:
@@ -314,9 +313,10 @@ def _lanczos_top_sigma(op: LinearOperator, rng, tol: float) -> float:
     )
 
 
-def op_norm(op: LinearOperator, tol: float = 1e-6, seed: int = 0, restarts: int = 2) -> float:
-    """Largest singular value of a LinearOperator by Krylov (Lanczos)
-    iteration on A*A; only ``op.matvec`` and ``op.rmatvec`` are called.
+def op_norm(matvec, rmatvec, n: int, tol: float = 1e-6, seed: int = 0, restarts: int = 2) -> float:
+    """Largest singular value of the operator on length-n complex vectors
+    whose products are ``matvec`` (A v) and ``rmatvec`` (A* v), by Krylov
+    (Lanczos) iteration on A*A.
 
     Differences of near-commuting unitaries -- the routine client here --
     carry a continuum of near-top singular values, which stalls plain power
@@ -329,7 +329,7 @@ def op_norm(op: LinearOperator, tol: float = 1e-6, seed: int = 0, restarts: int 
     estimates = []
     for r in range(restarts):
         rng = rng_for(seed, stream=0xA11CE + r)
-        estimates.append(_lanczos_top_sigma(op, rng, tol))
+        estimates.append(_lanczos_top_sigma(matvec, rmatvec, n, rng, tol))
     spread = max(estimates) - min(estimates)
     if spread > 2.0 * tol * max(max(estimates), 1e-300):
         raise NonConvergenceError(
@@ -392,10 +392,4 @@ def propagator_deviation(
         free = free_propagate(f, sign * t).values
         return (full - free).ravel()
 
-    op = LinearOperator(
-        (n, n),
-        matvec=lambda v: diff(v, +1.0),
-        rmatvec=lambda v: diff(v, -1.0),
-        dtype=np.complex128,
-    )
-    return op_norm(op, tol=tol, seed=seed)
+    return op_norm(lambda v: diff(v, +1.0), lambda v: diff(v, -1.0), n, tol=tol, seed=seed)

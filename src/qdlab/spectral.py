@@ -8,12 +8,10 @@ density of states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import NonConvergenceError
 from .lattice import (
@@ -129,9 +127,7 @@ def projection_deviation(
         free = np.fft.ifftn(multiplier * np.fft.fftn(v.reshape(grid.shape))).ravel()
         return near.view(np.complex128).ravel() - free
 
-    n = grid.n_sites
-    op = LinearOperator((n, n), matvec=apply, rmatvec=apply, dtype=np.complex128)
-    return op_norm(op, tol=PROJECTION_NORM_TOL, seed=seed)
+    return op_norm(apply, apply, grid.n_sites, tol=PROJECTION_NORM_TOL, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -159,92 +155,39 @@ def resolvent_dense(spec: HamiltonianSpec, z: complex) -> np.ndarray:
     return np.linalg.inv(h)
 
 
-# GMRES budget of resolvent_column: the true residual must reach
-# COLUMN_RTOL within COLUMN_MAX_CYCLES restart cycles of COLUMN_RESTART
-# Krylov vectors each (GMRES itself runs to COLUMN_RTOL / 10).
+# Budget of resolvent_column: COCG runs to a residual of COLUMN_RTOL / 10
+# within COLUMN_MAX_ITER iterations, and the true residual must then be at
+# most COLUMN_RTOL.
 COLUMN_RTOL = 1e-10
-COLUMN_RESTART = 60
-COLUMN_MAX_CYCLES = 400
-
-
-def _gmres(matvec, b: np.ndarray, rtol: float, restart: int, max_cycles: int):
-    """Restarted GMRES for matvec(x) = b from x = 0: (x, converged), where
-    converged means ||b - matvec(x)|| <= rtol ||b|| (Saad & Schultz 1986).
-
-    The Krylov basis is one Fortran-ordered (n, restart + 1) array, and each
-    new vector is orthogonalized by classical Gram-Schmidt applied twice
-    (twice is enough), each pass two matrix-vector products.  The least
-    squares residual is tracked by Givens rotations; a cycle ends at that
-    estimate, at the restart length or at a happy breakdown, and the next one
-    restarts from the recomputed residual.
-    """
-    atol = rtol * np.linalg.norm(b)
-    eps = np.finfo(float).eps
-    basis = np.empty((b.size, restart + 1), dtype=np.complex128, order="F")
-    x = np.zeros_like(b)
-    r = b.copy()
-    for _ in range(max_cycles):
-        beta = np.linalg.norm(r)
-        if beta <= atol:
-            return x, True
-        basis[:, 0] = r / beta
-        h = np.zeros((restart + 1, restart), dtype=np.complex128)
-        g = np.zeros(restart + 1, dtype=np.complex128)
-        g[0] = beta
-        rotations = []
-        for j in range(restart):
-            w = matvec(basis[:, j])
-            w_norm = np.linalg.norm(w)
-            v = basis[:, : j + 1]
-            # numpy's matmul, not scipy.linalg.blas: the two link separate
-            # OpenBLAS copies, and alternating calls between their thread
-            # pools made a d=3 L=24 column six times slower on 2 cores.
-            for _ in range(2):
-                c = np.conj(np.conj(w) @ v)  # V^H w
-                w -= v @ c
-                h[: j + 1, j] += c
-            h[j + 1, j] = np.linalg.norm(w)
-            breakdown = h[j + 1, j].real <= eps * w_norm
-            if not breakdown:
-                basis[:, j + 1] = w / h[j + 1, j]
-            for i, (cs, sn) in enumerate(rotations):
-                top, low = h[i, j], h[i + 1, j]
-                h[i, j], h[i + 1, j] = cs * top + sn * low, cs * low - np.conj(sn) * top
-            # The rotation [[cs, sn], [-conj(sn), cs]] zeroes h[j + 1, j].
-            top, low = h[j, j], h[j + 1, j]
-            norm = math.hypot(abs(top), abs(low))
-            phase = top / abs(top) if top != 0 else 1.0
-            cs, sn = abs(top) / norm, phase * np.conj(low) / norm
-            rotations.append((cs, sn))
-            h[j, j], h[j + 1, j] = phase * norm, 0.0
-            g[j], g[j + 1] = cs * g[j], -np.conj(sn) * g[j]
-            if abs(g[j + 1]) <= atol or breakdown:
-                break
-        y = scipy.linalg.solve_triangular(h[: j + 1, : j + 1], g[: j + 1])
-        x += basis[:, : j + 1] @ y
-        r = b - matvec(x)
-    return x, bool(np.linalg.norm(r) <= atol)
+COLUMN_MAX_ITER = 2000
 
 
 def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray:
     """One column R(z) e_site as a grid-shaped array.
 
-    Matrix-free GMRES (`_gmres`), preconditioned on the right by the free
-    resolvent (A - z)^{-1} applied through FFT.  The true residual
+    Conjugate-orthogonal CG (van der Vorst & Melissen 1990) on
+    (H - z) x = e_site, preconditioned by the free resolvent (A - z)^{-1}
+    applied through FFT.  H - z and (A - z)^{-1} are complex symmetric, so
+    CG runs with the unconjugated bilinear form x^T y in place of x^* y: one
+    stencil, one preconditioner and four vector updates an iteration, with no
+    Krylov basis and no restarts.  The recurrence residual must reach
+    COLUMN_RTOL / 10 within COLUMN_MAX_ITER iterations; then the true residual
     ||(H - z) x - e_site|| is recomputed from x with the stencil
-    (`hamiltonian_product`), which shares no code with the preconditioner;
-    NonConvergenceError, with that residual, if it is above COLUMN_RTOL or
-    GMRES ran out of its restart budget.
+    (`hamiltonian_product`), which shares no code with the preconditioner.
+    A spent budget, a breakdown (p^T (H - z) p = 0 or r^T (A - z)^{-1} r = 0)
+    or a true residual above COLUMN_RTOL raises NonConvergenceError with that
+    residual.
 
     The preconditioned operator is I + lam V (A - z)^{-1}, so convergence
     depends on lam^2 / eta (eta = Im z), not on the size.  Supported regime:
     lam^2 / eta of order one or below, as in criteria 8-10 and
-    configs/deloc.ini (lam^2 / eta = 1, on a 2-core VM: 50-70 iterations,
-    0.02-0.04 s a column at d=2 L=64, 0.6-0.85 s at L=256, 0.15-0.21 s at
-    d=3 L=24).  Far above it GMRES slows down or stalls: at lam^2 / eta = 1000
-    (d=2 L=16 lam=1 z=0.3+0.001i) one 256-site column takes about 6600
-    iterations, 0.8-1.3 s, and at 25-200 on L=128-256 grids the restart
-    budget runs out and NonConvergenceError is raised.
+    configs/deloc.ini (lam^2 / eta = 1, on a 2-core VM: 57-58 iterations,
+    0.02 s a column at d=2 L=64; 62-63 iterations, 0.37-0.41 s at L=256;
+    51-77 iterations, 0.07-0.19 s at d=3 L=24-32).  At lam^2 / eta = 1000
+    (d=2 L=16 lam=1 z=0.3+0.001i) a column takes 254-278 iterations,
+    0.02-0.04 s.  At 25-200 on L=128-256 grids the free preconditioner is too
+    weak: the budget runs out after 2-10 s, with true residuals from 1e-3 up
+    to 3e+2, and NonConvergenceError is raised.
     """
     grid = spec.grid
     if z.imag == 0.0:
@@ -253,28 +196,44 @@ def resolvent_column(spec: HamiltonianSpec, z: complex, site=None) -> np.ndarray
         site = (0,) * grid.d
     b = np.zeros(grid.shape, dtype=np.complex128)
     b[tuple(int(c) % grid.L for c in site)] = 1.0
-
-    # (H - z) M = I + lam V M with M = (A - z)^{-1}: solve the preconditioned
-    # system for y, then x = M y.
-    lam_v = spec.potential
     omega_minus_z = momentum_grid(grid) - z
 
-    def precond_matvec(y: np.ndarray) -> np.ndarray:
-        my = apply_free_resolvent(omega_minus_z, y.reshape(grid.shape))
-        return (y.reshape(grid.shape) + lam_v * my).ravel()
+    def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
+        # x^T y, unconjugated.  numpy's matmul, not scipy.linalg.blas: the two
+        # link separate OpenBLAS copies, and alternating calls between their
+        # thread pools made a d=3 L=24 column six times slower on 2 cores.
+        return complex(u.ravel() @ v.ravel())
 
-    y, converged = _gmres(
-        precond_matvec, b.ravel(), COLUMN_RTOL / 10.0, COLUMN_RESTART, COLUMN_MAX_CYCLES
-    )
-    x = apply_free_resolvent(omega_minus_z, y.reshape(grid.shape))
-    hx = hamiltonian_product(spec, x, np.empty_like(x))
+    x = np.zeros_like(b)
+    r = b.copy()  # ||b|| = 1
+    p = apply_free_resolvent(omega_minus_z, r)
+    rho = bilinear(r, p)
+    q = np.empty_like(b)
+    converged = False
+    for iterations in range(1, COLUMN_MAX_ITER + 1):
+        hamiltonian_product(spec, p, q)
+        q -= z * p  # q = (H - z) p
+        mu = bilinear(p, q)
+        if mu == 0.0 or rho == 0.0:
+            break
+        alpha = rho / mu
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r.ravel()) <= COLUMN_RTOL / 10.0:
+            converged = True
+            break
+        u = apply_free_resolvent(omega_minus_z, r)
+        rho, rho_old = bilinear(r, u), rho
+        p *= rho / rho_old
+        p += u
+    hx = hamiltonian_product(spec, x, q)
     residual = np.linalg.norm((hx - z * x - b).ravel())
     if not converged or residual > COLUMN_RTOL:
         raise NonConvergenceError(
-            f"resolvent solve at z={z} stalled: residual {residual:.3e} "
-            f"> rtol {COLUMN_RTOL:.1e} (lam={spec.lam:g}, eta={z.imag:g}, "
-            f"lam^2/eta={spec.lam ** 2 / abs(z.imag):.3g}; the free-resolvent "
-            "preconditioner is weak when lam^2/eta is well above 1)"
+            f"resolvent solve at z={z} stalled after {iterations} iterations: "
+            f"residual {residual:.3e} > rtol {COLUMN_RTOL:.1e} (lam={spec.lam:g}, "
+            f"eta={z.imag:g}, lam^2/eta={spec.lam ** 2 / abs(z.imag):.3g}; the "
+            "free-resolvent preconditioner is weak when lam^2/eta is well above 1)"
         )
     return x
 

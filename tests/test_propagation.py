@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
 from scipy.special import jv
 
 from qdlab.errors import NonConvergenceError, OrderOverflowError
@@ -21,6 +20,7 @@ from qdlab.lattice import (
     distance_sq_grid,
     free_propagate,
     free_propagator_dense,
+    hamiltonian_product,
     rng_for,
 )
 from qdlab import propagation
@@ -379,9 +379,14 @@ def test_start_on_another_grid_is_rejected():
 # op_norm
 
 
+def matrix_norm(a: np.ndarray, **kwargs) -> float:
+    """op_norm of a dense matrix, through its products with v and a* v."""
+    return op_norm(lambda v: a @ v, lambda v: a.conj().T @ v, a.shape[1], **kwargs)
+
+
 def test_op_norm_basics():
-    assert op_norm(aslinearoperator(np.eye(5))) == pytest.approx(1.0, rel=1e-6)
-    assert op_norm(aslinearoperator(np.diag([3.0, 1.0, 0.0]))) == pytest.approx(3.0, rel=1e-6)
+    assert matrix_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-6)
+    assert matrix_norm(np.diag([3.0, 1.0, 0.0])) == pytest.approx(3.0, rel=1e-6)
 
 
 def test_op_norm_matches_svd():
@@ -391,23 +396,26 @@ def test_op_norm_matches_svd():
     real_a = rng_for(6, stream=0).standard_normal((40, 40))
     for a in (complex_a, real_a):
         want = np.linalg.svd(a, compute_uv=False)[0]
-        assert op_norm(aslinearoperator(a), tol=1e-10) == pytest.approx(want, rel=1e-8)
+        assert matrix_norm(a, tol=1e-10) == pytest.approx(want, rel=1e-8)
 
 
 def test_op_norm_matrix_free_route():
-    rng = rng_for(5, stream=0)
-    a = rng.standard_normal((30, 30))
-    op = LinearOperator(a.shape, matvec=lambda v: a @ v, rmatvec=lambda v: a.T @ v,
-                        dtype=np.complex128)
-    assert op_norm(op, tol=1e-9) == pytest.approx(
-        np.linalg.svd(a, compute_uv=False)[0], rel=1e-7
-    )
+    # The stencil on raveled grid vectors, against the dense spectrum of H.
+    spec = small_spec(seed=4, d=2, L=8)
+    shape = spec.grid.shape
+
+    def apply(v):
+        values = v.reshape(shape)
+        return hamiltonian_product(spec, values, np.empty_like(values)).ravel()
+
+    want = np.max(np.abs(np.linalg.eigvalsh(dense_hamiltonian(spec))))
+    assert op_norm(apply, apply, spec.grid.n_sites, tol=1e-9) == pytest.approx(want, rel=1e-7)
 
 
 def test_op_norm_nonconvergence(monkeypatch):
     monkeypatch.setattr(propagation, "LANCZOS_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError):
-        op_norm(aslinearoperator(np.diag([2.0, 1.0])))
+        matrix_norm(np.diag([2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +458,7 @@ def test_dyson_T1_matches_central_difference():
 def test_T1_norm_subadditive():
     spec = small_spec(seed=9, L=16)
     norms = {
-        t: op_norm(aslinearoperator(dyson_Tk(spec, 1, t)), tol=1e-8) for t in (1.0, 2.0, 3.0)
+        t: matrix_norm(dyson_Tk(spec, 1, t), tol=1e-8) for t in (1.0, 2.0, 3.0)
     }
     assert norms[3.0] <= norms[1.0] + norms[2.0] + 1e-6
 

@@ -9,7 +9,10 @@ member of a class must be read somewhere, and the README's quick tour must run.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,3 +111,19 @@ def test_readme_quick_tour_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_importing_qdlab_leaves_scipy_sparse_out():
+    # scipy.sparse costs tens of milliseconds at every interpreter start, and
+    # nothing in qdlab needs it: `op_norm` takes plain callables.
+    modules = [".".join(p.relative_to(ROOT / "src").with_suffix("").parts).removesuffix(".__init__")
+               for p in SOURCES]
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
