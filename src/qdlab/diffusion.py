@@ -40,6 +40,8 @@ THETA_MAX_ITER = 500
 # Trials per walk chunk.  Chunk k draws from its own random stream k, so this
 # also fixes which draws every trial gets.
 WALK_CHUNK = 16384
+# Buckets of the walk sampler's guide table; a power of two (see _step_sampler).
+_GUIDE_BUCKETS = 1 << 16
 # Bound on the discarded tail of neumann_walk_sum's series.
 WALK_TAIL_TOL = 1e-12
 # Two-sided 95% normal quantile of the Wilson interval.
@@ -386,6 +388,13 @@ class StepDistribution:
     sigma: float  # radial standard deviation sqrt(E|X|^2)
 
     def __post_init__(self) -> None:
+        if self.displacements.shape[0] != self.probabilities.shape[0]:
+            raise ValueError(
+                f"{self.displacements.shape[0]} displacements for "
+                f"{self.probabilities.shape[0]} probabilities"
+            )
+        if not np.all(np.isfinite(self.probabilities)):
+            raise ValueError("step probabilities must be finite")
         total = float(self.probabilities.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"step probabilities sum to {total}, not 1")
@@ -432,12 +441,37 @@ def _wilson(hits: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _sample_steps(step: StepDistribution, shape: tuple[int, ...], rng) -> np.ndarray:
-    """Draw displacement vectors with the given leading shape (trailing axis d)."""
+def _step_sampler(step: StepDistribution):
+    """Map uniforms u of shape (n, k) to the sums of k steps, shape (n, d) int64.
+
+    The step of u is atom searchsorted(cdf, u, side="right"), inverse-CDF
+    sampling, found through a guide table (Chen & Asau 1974; Devroye 1986,
+    III.2.4).  [0, 1) is cut into m = 2^16 equal buckets.  Every u in a bucket
+    whose open interior holds no CDF value maps to the same atom, which the
+    table stores; the other buckets hold -1, and their draws go through
+    searchsorted.  m is a power of two so that u * m is exact: floor(u * m) is
+    then exactly the bucket of u, and the edges b / m the table was built on
+    are exact.  Other counts round both, and can put a u next to an edge in
+    the neighbouring bucket (m = 10^5 does so at 16079 of its 99999 edges),
+    which takes the wrong atom wherever that edge is a CDF value.
+    The steps are gathered from one contiguous int32 column per axis and
+    summed in int64: the same integers as summing the (n, k, d) rows.
+    """
+    m = _GUIDE_BUCKETS
     cdf = np.cumsum(step.probabilities)
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(shape), side="right")
-    return step.displacements[idx]
+    edges = np.arange(m + 1) / m
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    table = np.where(first == np.searchsorted(cdf, edges[1:], side="left"), first, -1)
+    columns = [np.ascontiguousarray(axis, dtype=np.int32) for axis in step.displacements.T]
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        idx = table[(u * m).astype(np.intp)]
+        miss = idx < 0
+        idx[miss] = np.searchsorted(cdf, u[miss], side="right")
+        return np.stack([col[idx].sum(axis=1, dtype=np.int64) for col in columns], axis=1)
+
+    return draw
 
 
 def walk_positions(
@@ -452,8 +486,11 @@ def walk_positions(
     are correlated but much cheaper.  Positions are not folded onto the torus.
     """
     checkpoints = sorted(int(n) for n in checkpoints)
+    if not checkpoints:
+        raise ValueError("no checkpoints given")
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be at least 1")
+    draw = _step_sampler(step)
     d = step.displacements.shape[1]
     out = {n: np.empty((n_trials, d), dtype=np.int64) for n in checkpoints}
     done = 0
@@ -465,7 +502,7 @@ def walk_positions(
         prev = 0
         for n_ck in checkpoints:
             if n_ck > prev:
-                pos += _sample_steps(step, (size, n_ck - prev), rng).sum(axis=1)
+                pos += draw(rng.random((size, n_ck - prev)))
             out[n_ck][done : done + size] = pos
             prev = n_ck
         done += size

@@ -12,6 +12,9 @@ from qdlab.diffusion import (
     EnergyPoint,
     F_eval,
     KernelField,
+    StepDistribution,
+    WALK_CHUNK,
+    _GUIDE_BUCKETS,
     _momentum_mean,
     _theta_fixed_point,
     _wilson,
@@ -38,6 +41,7 @@ from qdlab.lattice import (
     hamiltonian_product,
     minimal_image,
     momentum_grid,
+    rng_for,
 )
 from qdlab.spectral import apply_free_resolvent
 
@@ -438,12 +442,133 @@ def test_wrapped_walk_matches_fft_convolution():
     assert ci_low <= exact <= ci_high
 
 
+def reference_walk(step, checkpoints, n_trials, seed, chunk=WALK_CHUNK, streams=rng_for):
+    """Walk positions by binary search over the step CDF and a gather of whole rows.
+
+    The same chunks and random streams as walk_positions, without a guide table.
+    """
+    cdf = np.cumsum(step.probabilities)
+    cdf[-1] = 1.0
+    d = step.displacements.shape[1]
+    out = {n: np.empty((n_trials, d), dtype=np.int64) for n in checkpoints}
+    for k, start in enumerate(range(0, n_trials, chunk)):
+        size = min(chunk, n_trials - start)
+        rng = streams(seed, stream=0x3A1C + k)
+        pos = np.zeros((size, d), dtype=np.int64)
+        prev = 0
+        for n in sorted(checkpoints):
+            idx = np.searchsorted(cdf, rng.random((size, n - prev)), side="right")
+            pos += step.displacements[idx].sum(axis=1)
+            out[n][start : start + size] = pos
+            prev = n
+    return out
+
+
+def assert_same_walk(got, want):
+    assert got.keys() == want.keys()
+    for n in want:
+        assert np.array_equal(got[n], want[n]), f"checkpoint {n}"
+
+
+def listed_step(probabilities, d=1):
+    """The given probabilities on distinct random displacements, so a wrong atom shows."""
+    p = np.asarray(probabilities, dtype=float)
+    disp = rng_for(0, stream=0xD15).permutation(p.size * d).reshape(p.size, d)
+    return StepDistribution(disp, p, 1.0)
+
+
+def random_step(d):
+    p = rng_for(d, stream=0x9A).random(500) ** 4
+    return listed_step(p / p.sum(), d)
+
+
+def edge_step():
+    """One atom per guide-table bucket: the CDF values are the bucket edges b / m.
+
+    Successive edges lie within a factor 2 of each other, so each difference,
+    and with it each partial sum, is exact: the CDF holds exactly the edges.
+    """
+    return listed_step(np.diff(np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS))
+
+
+WALK_CASES = {
+    "random-d1": lambda: random_step(1),
+    "random-d2": lambda: random_step(2),
+    "random-d3": lambda: random_step(3),
+    # 0.25 and 0.5 are multiples of 2^-16: CDF values exactly on bucket edges.
+    "cdf-on-bucket-edges": lambda: listed_step([0.25, 0.25, 0.5]),
+    "cdf-on-every-bucket-edge": edge_step,
+    "tenths": lambda: listed_step([0.1, 0.2, 0.3, 0.4]),
+    "zero-atoms": lambda: listed_step([0.0, 0.3, 0.0, 0.0, 0.7, 0.0], d=2),
+    # cumsum [0.5, 1 + 2^-52, ...] passes 1 before the last entry is forced to 1.
+    "cumsum-past-one": lambda: listed_step([0.5, 0.5 + 2.0**-52, 1e-17]),
+    "single-atom": lambda: listed_step([1.0], d=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_positions_match_the_binary_search_walk(case):
+    step = WALK_CASES[case]()
+    checkpoints = (1, 3, 8)
+    got = walk_positions(step, checkpoints, n_trials=3000, seed=7)
+    assert_same_walk(got, reference_walk(step, checkpoints, 3000, seed=7))
+
+
+class FixedUniforms:
+    """Random streams that hand out the given uniforms in turn, whatever the stream."""
+
+    def __init__(self, values):
+        self.values = values
+        self.used = 0
+
+    def __call__(self, seed, stream=0):
+        return self
+
+    def random(self, shape):
+        n = math.prod(shape)
+        out = self.values[self.used : self.used + n]
+        self.used += n
+        return out.reshape(shape)
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_positions_at_cdf_values_and_bucket_edges(case, monkeypatch):
+    step = WALK_CASES[case]()
+    cdf = np.cumsum(step.probabilities)
+    cdf[-1] = 1.0
+    # every CDF value and its two neighbouring doubles, and both ends of [0, 1)
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0]])
+    u = np.unique(np.append(u[(u >= 0.0) & (u < 1.0)], np.nextafter(1.0, 0.0)))
+    # one step per trial, so each uniform is drawn exactly once
+    monkeypatch.setattr("qdlab.diffusion.rng_for", FixedUniforms(u))
+    got = walk_positions(step, [1], n_trials=u.size, seed=0)
+    assert_same_walk(got, reference_walk(step, [1], u.size, seed=0, streams=FixedUniforms(u)))
+
+
+def test_walk_positions_match_the_binary_search_walk_across_chunks(monkeypatch):
+    monkeypatch.setattr("qdlab.diffusion.WALK_CHUNK", 100)
+    step = random_step(2)
+    got = walk_positions(step, (1, 4, 9), n_trials=250, seed=11)
+    assert_same_walk(got, reference_walk(step, (1, 4, 9), 250, seed=11, chunk=100))
+
+
 def test_walk_positions_checkpoints_are_partial_sums():
     step = step_distribution(walk_kernel(L=16))
-    pos = walk_positions(step, [2, 5], n_trials=64, seed=3)
-    assert pos[2].shape == (64, 2) and pos[5].shape == (64, 2)
+    got = walk_positions(step, [5, 2], n_trials=64, seed=3)
+    assert_same_walk(got, reference_walk(step, [2, 5], 64, seed=3))
     with pytest.raises(ValueError):
         walk_positions(step, [0, 2], 8, seed=0)
+    with pytest.raises(ValueError):
+        walk_positions(step, [], 8, seed=0)
+
+
+def test_step_distribution_rejects_malformed_input():
+    disp = np.array([[0], [1]])
+    for probs in ([np.nan, 1.0], [np.inf, 1.0], [0.5, 0.6], [-0.5, 1.5]):
+        with pytest.raises(ValueError):
+            StepDistribution(disp, np.array(probs), 1.0)
+    with pytest.raises(ValueError):
+        StepDistribution(np.array([[0], [1], [2]]), np.array([0.5, 0.5]), 1.0)
 
 
 def test_neumann_walk_sum_against_fft_green_function():
